@@ -14,16 +14,18 @@ from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
                        enumerate_minors, jacobian, minor_count, rank_at_point)
 from .groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
                        IdealPresentation, StaircaseSummary, degree, dimension,
-                       hilbert_numerator, localize_rabinowitsch, normal_form,
+                       hilbert_numerator, is_radical_zero_dim,
+                       localize_rabinowitsch, normal_form,
                        reduced_groebner_basis, staircase_summary,
-                       standard_monomial_count)
+                       standard_monomial_count, standard_monomials)
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarIdealResult,
                     PolarSpec, PolarSpecError, PointClassificationError,
                     SmoothnessReport, classic_polar_ideal, delta_generators,
                     delta_ideal, dual_polar_ideal, incidence_fiber_dim,
                     polar_generators, polar_ideal, polar_stack,
-                    singular_locus_generators, singular_locus_ideal,
-                    thom_boardman_class, verify_smooth_complete_intersection)
+                    singular_locus_dim, singular_locus_generators,
+                    singular_locus_ideal, thom_boardman_class,
+                    verify_smooth_complete_intersection)
 from .families import (ChainReport, DegreeReport, Family31Instance,
                        MeagerMatrixZ, WitnessReport, build_family_31,
                        corner_minor, degree_domination_check, example1_transform,

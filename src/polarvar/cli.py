@@ -24,7 +24,7 @@ from .matrices import ConstMatrix
 from .parsing import ParseError, parse_system
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarSpec,
                     PolarSpecError, PointClassificationError, delta_ideal,
-                    incidence_fiber_dim, polar_ideal, singular_locus_ideal,
+                    incidence_fiber_dim, polar_ideal, singular_locus_dim,
                     thom_boardman_class)
 from .poly import Point, Polynomial
 
@@ -199,9 +199,7 @@ def cmd_singular(args) -> int:
         return EXIT_OK
     mode = "full"
     try:
-        sing = singular_locus_ideal(result, n - result.dim, limits,
-                                    cap=args.minor_cap)
-        dim_sing = sing.dim
+        dim_sing = singular_locus_dim(result, limits, cap=args.minor_cap)
     except MinorCapExceededError:
         mode = "delta"
         dim_sing = delta_ideal(spec, limits).dim

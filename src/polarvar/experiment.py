@@ -5,8 +5,9 @@ quadrics with uniform coefficients, re-drawing (bounded) until they form a
 verified smooth complete intersection, draws one random full-rank
 (n-p) x n matrix whose top n - p - i + 1 rows feed the construction (so
 results across i share one matrix), builds the polar ideal, and measures
-the dimension of its singular locus either through the full Jacobian
-criterion or through the rank-degeneracy proxy.
+the dimension of its singular locus either exactly (the radical test for a
+zero-dimensional polar variety, the Jacobian criterion otherwise) or
+through the rank-degeneracy proxy.
 
 The observed value is compared against max{-1, n - p - (2i+2)} for p > 1;
 hypersurface cells (p = 1) have empty singular locus and empty degeneracy
@@ -30,7 +31,7 @@ from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
 from .matrices import ConstMatrix, jacobian
 from .poly import Point, Polynomial
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarSpec, delta_ideal,
-                    polar_ideal, singular_locus_ideal,
+                    polar_ideal, singular_locus_dim,
                     verify_smooth_complete_intersection)
 
 MODE_FULL = "full"
@@ -137,6 +138,10 @@ class CellResult:
     status: str
     redraws_used: int
     elapsed_ms: int
+    # which route decided dim_sing ("empty", "radical", "jacobian" or
+    # "delta"); None when the cell did not complete.  Not in RESULT_FIELDS,
+    # so the JSON-lines output does not carry it.
+    sing_route: str | None = None
 
     def to_record(self, with_timing: bool = False) -> dict:
         rec = {k: getattr(self, k) for k in RESULT_FIELDS}
@@ -153,14 +158,14 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
     start = time.monotonic()
 
     def finish(status, reg=None, smooth=None, dim_w=None, deg_w=None,
-               dim_sing=None, mode=spec.mode, redraws=0) -> CellResult:
+               dim_sing=None, mode=spec.mode, redraws=0, route=None) -> CellResult:
         match = (dim_sing == expected) if status == "ok" else None
         return CellResult(
             n=n, p=p, i=i, flavor=spec.flavor, prime=spec.prime, seed=spec.seed,
             regular_sequence_ok=reg, smooth_ok=smooth, dim_W=dim_w, deg_W=deg_w,
             dim_sing=dim_sing, expected_dim_sing=expected, match=match,
             mode=mode, status=status, redraws_used=redraws,
-            elapsed_ms=int((time.monotonic() - start) * 1000))
+            elapsed_ms=int((time.monotonic() - start) * 1000), sing_route=route)
 
     redraws = 0
     for attempt in range(spec.redraw_budget + 1):
@@ -188,15 +193,15 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
             redraws += 1
             continue
         mode_used = spec.mode
+        route = "delta"
         try:
             if spec.mode == MODE_FULL:
                 if result.dim < 0:
-                    dim_sing = -1
+                    dim_sing, route = -1, "empty"
                 else:
                     try:
-                        sing = singular_locus_ideal(result, n - result.dim,
-                                                    limits, cap=minor_cap)
-                        dim_sing = sing.dim
+                        dim_sing = singular_locus_dim(result, limits, cap=minor_cap)
+                        route = "radical" if result.dim == 0 else "jacobian"
                     except MinorCapExceededError:
                         mode_used = MODE_DELTA
                         dim_sing = delta_ideal(pspec, limits).dim
@@ -207,7 +212,7 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
                           deg_w=result.degree, redraws=redraws)
         return finish("ok", reg=True, smooth=True, dim_w=result.dim,
                       deg_w=result.degree, dim_sing=dim_sing, mode=mode_used,
-                      redraws=redraws)
+                      redraws=redraws, route=route)
     return finish("redraws_exhausted", redraws=redraws)
 
 

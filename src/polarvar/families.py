@@ -34,7 +34,7 @@ from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
 from .poly import Point, Polynomial, differentiate, evaluate
 from .polar import (CLASSIC, PolarIdealResult, PolarSpec, PolarSpecError,
                     analyze_ideal, polar_generators,
-                    singular_locus_generators, singular_locus_ideal,
+                    singular_locus_dim, singular_locus_generators,
                     verify_smooth_complete_intersection)
 
 
@@ -409,9 +409,7 @@ def example2_chain(F: Sequence[Polynomial], gamma: Sequence[int],
         res = analyze_ideal(field, n + 1, p, loc.generators, limits)
         smooth = True
         if res.dim >= 0:
-            sing = singular_locus_ideal(res, (n + 1) - res.dim, limits,
-                                        cap=minor_cap)
-            smooth = sing.dim < 0
+            smooth = singular_locus_dim(res, limits, cap=minor_cap) < 0
         levels.append(ChainLevel(i=i, dim=res.dim, degree=res.degree,
                                  smooth=smooth))
         gens_by_level.append(loc.generators)

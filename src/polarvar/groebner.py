@@ -8,7 +8,9 @@ BudgetExceededError, never silently truncated output.
 Dimension is read combinatorially off the leading-term staircase (largest
 variable subset meeting no leading support), degree from the Hilbert-series
 numerator of the leading-term ideal; the two dimension routes are computed
-independently and cross-checked.
+independently and cross-checked.  For a zero-dimensional ideal the
+standard monomials are enumerated by a staircase walk, and radicality is
+decided exactly by normal-form linear algebra on them.
 """
 
 from __future__ import annotations
@@ -445,38 +447,176 @@ def staircase_summary(G: GroebnerBasis) -> StaircaseSummary:
                             is_zero_dimensional=d == 0)
 
 
-def standard_monomial_count(G: GroebnerBasis, cap: int = 10**6) -> int:
-    """Number of monomials outside the leading-term ideal (finite staircases)."""
+def _bump(m: Monomial, j: int, by: int = 1) -> Monomial:
+    """m with the exponent of x_(j+1) raised by `by`."""
+    return m[:j] + (m[j] + by,) + m[j + 1:]
+
+
+def standard_monomials(G: GroebnerBasis, cap: int = 10**6) -> list[Monomial]:
+    """Monomials outside the leading-term ideal of a finite staircase, in
+    increasing degrevlex order; empty for the unit ideal.
+
+    A staircase walk from 1: each standard monomial grows only in variables
+    at or after its last nonzero exponent, so every monomial is reached
+    once, and a child is kept when no leading monomial divides it (divisors
+    of standard monomials are standard, so no parent is ever missed)."""
     lms = G.leading_monomials
     n = G.n
-    # bounding box: a finite staircase needs a pure power per variable
-    box = [0] * n
+    if any(not any(m) for m in lms):
+        return []
     for j in range(n):
-        pure = [m[j] for m in lms if sum(m) == m[j] and m[j] > 0]
-        if not pure:
+        if not any(m[j] and sum(m) == m[j] for m in lms):
             raise ValueError("staircase is infinite: no pure power in variable "
                              f"x{j + 1}")
-        box[j] = min(pure)
-    total = 1
-    for b in box:
-        total *= b
-        if total > cap:
+    one = (0,) * n
+    out = [one]
+    level = [(one, 0)]
+    while level:
+        grown = []
+        for m, first in level:
+            for j in range(first, n):
+                c = _bump(m, j)
+                if not any(monomial_divides(g, c) for g in lms):
+                    grown.append((c, j))
+        out.extend(c for c, _ in grown)
+        if len(out) > cap:
             raise ValueError("staircase too large to enumerate")
-    count = 0
-    idx = [0] * n
+        level = grown
+    out.sort(key=drl_key)
+    return out
+
+
+def standard_monomial_count(G: GroebnerBasis, cap: int = 10**6) -> int:
+    """Number of monomials outside the leading-term ideal (finite staircases)."""
+    return len(standard_monomials(G, cap))
+
+
+# ------------------------------------------------------------- radical test
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _upoly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """Euclid over F_q on coefficient lists, lowest degree first."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            c = a[-1] * inv % q
+            shift = len(a) - len(b)
+            for k, x in enumerate(b):
+                a[shift + k] = (a[shift + k] - c * x) % q
+            _trim(a)
+        a, b = b, a
+    return a
+
+
+def _is_squarefree(f: Sequence[int], q: int) -> bool:
+    """gcd(f, f') = 1 for f of positive degree; f' = 0 makes f a p-th power
+    over the perfect field F_q, and gcd(f, 0) = f then fails the test."""
+    df = [k * c % q for k, c in enumerate(f)][1:]
+    return len(_upoly_gcd(f, df, q)) == 1
+
+
+def _minimal_polynomial(cols: list[list[tuple[int, int]]], q: int) -> list[int]:
+    """Monic minimal polynomial, lowest degree first, of standard monomial 0
+    (the monomial 1) under the linear map whose column s is cols[s].
+
+    Krylov sequence against an incremental echelon: each power is reduced
+    by the rows found so far, tracking its combination of powers, and the
+    first power that reduces to zero spells out the polynomial; at most
+    D + 1 steps for D columns."""
+    D = len(cols)
+    rows: list[tuple[int, list[tuple[int, int]], list[int]]] = []
+    power = [0] * D
+    power[0] = 1
+    k = 0
     while True:
-        m = tuple(idx)
-        if not any(monomial_divides(g, m) for g in lms):
-            count += 1
-        k = n - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < box[k]:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return count
+        v = list(power)
+        combo = [0] * k + [1]
+        for pivot, row, rcombo in rows:
+            c = v[pivot] % q
+            if c:
+                for idx, x in row:
+                    v[idx] -= c * x
+                for d, x in enumerate(rcombo):
+                    combo[d] = (combo[d] - c * x) % q
+        v = [x % q for x in v]
+        pivot = next((idx for idx, x in enumerate(v) if x), -1)
+        if pivot < 0:
+            return combo
+        inv = pow(v[pivot], -1, q)
+        rows.append((pivot, [(idx, x * inv % q) for idx, x in enumerate(v) if x],
+                     [x * inv % q for x in combo]))
+        nxt = [0] * D
+        for s, x in enumerate(power):
+            if x:
+                for idx, c in cols[s]:
+                    nxt[idx] += x * c
+        power = [x % q for x in nxt]
+        k += 1
+
+
+def is_radical_zero_dim(G: GroebnerBasis) -> bool:
+    """Whether the zero-dimensional ideal with reduced basis G is radical.
+
+    R/I has the D standard monomials as a basis.  Multiplication by x_j
+    sends a standard monomial to a standard one or to a border monomial b,
+    whose normal form is read off the basis element led by b or, FGLM-style
+    (Faugere-Gianni-Lazard-Mora, JSC 1993), assembled from the normal form
+    of a smaller border monomial b / x_k.  Over the perfect field F_q, R/I
+    is reduced exactly when every minimal polynomial of x_j is squarefree
+    (Seidenberg's lemma); a minimal polynomial with a repeated factor of any
+    element refutes it.  The fixed form u = x_1 + 2 x_2 + ... + n x_n is
+    tried first: a squarefree minimal polynomial f of degree D makes R/I
+    isomorphic to F_q[t]/(f), which is reduced.  Only when u has degree
+    below D are the n variables tested one by one.  Both answers are exact.
+    The unit ideal counts as radical."""
+    q, n = G.field.q, G.n
+    staircase = standard_monomials(G)
+    D = len(staircase)
+    if D == 0:
+        return True
+    index = {m: k for k, m in enumerate(staircase)}
+    lead = dict(zip(G.leading_monomials, G.basis))
+    nf: dict[Monomial, dict[int, int]] = {m: {k: 1} for m, k in index.items()}
+
+    border = sorted({_bump(m, j) for m in staircase for j in range(n)}
+                    - index.keys(), key=drl_key)
+    for b in border:
+        g = lead.get(b)
+        if g is not None:
+            nf[b] = {index[m]: -c % q for m, c in g.terms.items() if m != b}
+            continue
+        # b is a proper multiple of a leading monomial, so some b / x_k is
+        # a smaller border monomial; x_k times each standard monomial of its
+        # normal form is smaller than b, hence already has a normal form
+        k = min((k for k in range(n) if b[k] and _bump(b, k, -1) not in index),
+                key=lambda k: len(nf[_bump(b, k, -1)]))
+        acc: dict[int, int] = {}
+        for t, c in nf[_bump(b, k, -1)].items():
+            for idx, x in nf[_bump(staircase[t], k)].items():
+                acc[idx] = acc.get(idx, 0) + c * x
+        nf[b] = {idx: x % q for idx, x in acc.items() if x % q}
+
+    maps = [[sorted(nf[_bump(m, j)].items()) for m in staircase] for j in range(n)]
+    u_cols = []
+    for s in range(D):
+        acc = {}
+        for j in range(n):
+            for idx, x in maps[j][s]:
+                acc[idx] = acc.get(idx, 0) + (j + 1) * x
+        u_cols.append(sorted((idx, x % q) for idx, x in acc.items() if x % q))
+    f = _minimal_polynomial(u_cols, q)
+    if not _is_squarefree(f, q):
+        return False
+    if len(f) - 1 == D:
+        return True
+    return all(_is_squarefree(_minimal_polynomial(cols, q), q) for cols in maps)
 
 
 # ---------------------------------------------------------------- localization

@@ -7,6 +7,12 @@ variant replaces row k of a by (a_{k,1} - a_{k,0}*X_1, ..., a_{k,n} -
 a_{k,0}*X_n).  The degeneracy locus one rank lower (all (n-i)-minors of the
 same stack) contains every singular point of the polar variety at regular
 points of S, and the Jacobian-criterion machinery below measures both.
+
+singular_locus_dim decides the singular locus of a zero-dimensional
+polar variety W by an exact radical test on its reduced basis (W is
+singular exactly at its non-reduced points); the Jacobian criterion,
+singular_locus_ideal, handles positive dimension and serves as the
+independent oracle for the radical test in the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from typing import Sequence
 
 from .field import PrimeField
 from .groebner import (DEFAULT_LIMITS, GBLimits, GroebnerBasis, IdealPresentation,
-                       degree, dimension, reduced_groebner_basis)
+                       degree, dimension, is_radical_zero_dim,
+                       reduced_groebner_basis)
 from .matrices import ConstMatrix, PolyMatrix, enumerate_minors, jacobian
 from .poly import Polynomial, as_coordinates, evaluate
 
@@ -206,11 +213,10 @@ def delta_ideal(spec: PolarSpec, limits: GBLimits = DEFAULT_LIMITS) -> PolarIdea
 DEFAULT_MINOR_CAP = 20_000
 
 
-def singular_locus_generators(generators: Sequence[Polynomial], c: int,
-                              cap: int = DEFAULT_MINOR_CAP) -> list[Polynomial]:
-    """Jacobian-criterion generators: the ideal plus all c-minors of its
-    Jacobian; valid for any generating set of an equidimensional radical
-    ideal of codimension c."""
+def _check_minor_count(generators: Sequence[Polynomial], c: int,
+                       cap: int) -> list[Polynomial]:
+    """The nonzero generators, once the c-minors of their Jacobian are known
+    to exist and to number at most `cap`."""
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         raise PolarSpecError("singular locus of the zero ideal is undefined")
@@ -221,6 +227,15 @@ def singular_locus_generators(generators: Sequence[Polynomial], c: int,
     count = comb(len(gens), c) * comb(n, c)
     if count > cap:
         raise MinorCapExceededError(count, cap)
+    return gens
+
+
+def singular_locus_generators(generators: Sequence[Polynomial], c: int,
+                              cap: int = DEFAULT_MINOR_CAP) -> list[Polynomial]:
+    """Jacobian-criterion generators: the ideal plus all c-minors of its
+    Jacobian; valid for any generating set of an equidimensional radical
+    ideal of codimension c."""
+    gens = _check_minor_count(generators, c, cap)
     J = jacobian(gens)
     return list(gens) + list(enumerate_minors(J, c))
 
@@ -239,6 +254,23 @@ def singular_locus_ideal(result: PolarIdealResult, c: int,
     # unchanged and lets the minors reduce against interreduced elements
     seeded = list(result.gb.basis) + gens
     return analyze_ideal(result.ideal.field, result.n, result.p, seeded, limits)
+
+
+def singular_locus_dim(result: PolarIdealResult,
+                       limits: GBLimits = DEFAULT_LIMITS,
+                       cap: int = DEFAULT_MINOR_CAP) -> int:
+    """Dimension of the singular locus of the variety behind `result`.
+
+    The Jacobian criterion's minor-count cap is checked first, as
+    singular_locus_ideal does, so callers fall back to the delta proxy on
+    the same cells.  A zero-dimensional variety is singular exactly at its
+    non-reduced points, so it is decided by the exact radical test on the
+    reduced basis (-1 when radical, 0 otherwise); positive dimensions go
+    through singular_locus_ideal."""
+    if result.dim != 0:
+        return singular_locus_ideal(result, result.n - result.dim, limits, cap).dim
+    _check_minor_count(result.ideal.generators, result.n, cap)
+    return -1 if is_radical_zero_dim(result.gb) else 0
 
 
 @dataclass

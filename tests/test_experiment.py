@@ -140,3 +140,18 @@ def test_full_and_delta_modes_agree(K):
         assert full.mode == "full"
         assert full.dim_sing == delta.dim_sing
     assert full.dim_sing == 0  # (6,2,1) has a zero-dimensional singular locus
+
+
+def test_cell_records_singular_route(K):
+    # the grid's (5,2,*) draw: W is zero-dimensional at i = 3 and a curve
+    # at i = 2; the route stays out of the JSON-lines record
+    seed = derive_seed(0, 5, 2, 0)
+    radical = run_cell(CellSpec(5, 2, 3, seed=seed))
+    jacobian = run_cell(CellSpec(5, 2, 2, seed=seed))
+    assert (radical.dim_W, radical.sing_route) == (0, "radical")
+    assert (jacobian.dim_W, jacobian.sing_route) == (1, "jacobian")
+    assert radical.match and jacobian.match
+    assert "sing_route" not in radical.to_record()
+    capped = run_cell(CellSpec(5, 2, 3, seed=seed), minor_cap=1)
+    assert (capped.mode, capped.sing_route) == ("delta", "delta")
+    assert capped.dim_sing == radical.dim_sing

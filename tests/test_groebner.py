@@ -10,9 +10,10 @@ from polarvar.groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
                                IdealPresentation, degree, dimension,
                                hilbert_numerator, localize_rabinowitsch,
                                normal_form, reduced_groebner_basis,
-                               staircase_summary, standard_monomial_count)
+                               is_radical_zero_dim, staircase_summary,
+                               standard_monomial_count, standard_monomials)
 from polarvar.parsing import parse_polynomial
-from polarvar.poly import (Polynomial, monomial_div, monomial_divides,
+from polarvar.poly import (Polynomial, drl_key, monomial_div, monomial_divides,
                            monomial_lcm)
 
 from conftest import brute_force_dimension, count_staircase, random_poly
@@ -177,6 +178,41 @@ def test_zero_dimensional_degree_is_staircase_count(K):
         assert degree(G) == count_staircase(lms, n)
         assert standard_monomial_count(G) == degree(G)
         done += 1
+
+
+def test_standard_monomials_walk(K):
+    four_points = gb_of(K, 2, ["x1^2-1", "x2^2-1"])
+    assert standard_monomials(four_points) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    rng = random.Random(113)
+    for _ in range(20):
+        n = rng.randrange(2, 5)
+        lms = [tuple(rng.randrange(1, 4) if j == k else 0 for j in range(n))
+               for k in range(n)]
+        lms += [tuple(rng.randrange(3) for _ in range(n)) for _ in range(2)]
+        lms = [m for m in lms if any(m)]
+        G = GroebnerBasis(K, n, [Polynomial(K, n, {m: 1}) for m in lms])
+        walk = standard_monomials(G)
+        assert len(walk) == len(set(walk)) == count_staircase(lms, n)
+        assert walk == sorted(walk, key=drl_key)
+        assert not any(monomial_divides(g, m) for g in lms for m in walk)
+    assert standard_monomials(gb_of(K, 2, ["x1", "x1+1"])) == []
+    with pytest.raises(ValueError):
+        standard_monomial_count(gb_of(K, 2, ["x1^2"]))  # x2 is free
+    with pytest.raises(ValueError):
+        standard_monomial_count(four_points, cap=3)
+
+
+def test_is_radical_zero_dim_examples(K, F7):
+    assert is_radical_zero_dim(gb_of(K, 2, ["x1^2-1", "x2^2-1"]))
+    assert not is_radical_zero_dim(gb_of(K, 2, ["x1^2", "x2"]))
+    # (x1 - 1)^2 (x1 + 1): a double point next to a simple one
+    assert not is_radical_zero_dim(gb_of(K, 2, ["x1^3-x1^2-x1+1", "x2-x1"]))
+    # u = x1 + 2*x2 takes the value 2 at both points: per-variable fallback
+    assert is_radical_zero_dim(gb_of(K, 2, ["x1+2*x2-2", "x2^2-x2"]))
+    # x1^7 - 3 = (x1 - 3)^7 over F_7, whose derivative vanishes
+    assert not is_radical_zero_dim(gb_of(F7, 2, ["x1^7-3", "x2-x1"]))
+    assert is_radical_zero_dim(gb_of(F7, 1, ["x1^7-x1"]))
+    assert is_radical_zero_dim(gb_of(K, 2, ["x1", "x1+1"]))  # unit ideal
 
 
 def test_staircase_summary(K):

@@ -8,16 +8,19 @@ from polarvar.field import PrimeField
 from polarvar.groebner import normal_form, reduced_groebner_basis, IdealPresentation
 from polarvar.matrices import ConstMatrix, minor_count
 from polarvar.parsing import parse_polynomial
+from polarvar.poly import Polynomial
 from polarvar.polar import (MinorCapExceededError, PolarSpec, PolarSpecError,
                             PointClassificationError, analyze_ideal,
                             classic_polar_ideal, delta_generators, delta_ideal,
                             dual_polar_ideal, incidence_fiber_dim,
                             polar_generators, polar_ideal, polar_stack,
-                            singular_locus_generators, singular_locus_ideal,
+                            singular_locus_dim, singular_locus_generators,
+                            singular_locus_ideal,
                             thom_boardman_class,
                             verify_smooth_complete_intersection)
+from polarvar import experiment
 from polarvar.experiment import (derive_seed, random_dense_poly,
-                                 random_full_rank_matrix)
+                                 random_full_rank_matrix, run_grid)
 
 
 def P(text, n, field):
@@ -178,6 +181,89 @@ def test_minor_cap_triggers_explicit_error(K):
             P("x1*x3-x2", 3, K)]
     with pytest.raises(MinorCapExceededError):
         singular_locus_generators(gens, 2, cap=3)
+
+
+def both_routes(R):
+    """dim sing by singular_locus_dim and by the Jacobian criterion."""
+    return singular_locus_dim(R), singular_locus_ideal(R, R.n - R.dim).dim
+
+
+@pytest.mark.parametrize("field_q, texts, want", [
+    (None, ["x1^2", "x2"], 0),                 # a double point at the origin
+    (None, ["x2-1", "x1^2+x2^2-1"], 0),        # tangent line to the circle
+    (7, ["x1^7-3", "x2-x1"], 0),               # (x1-3)^7 over F_7: f' = 0
+    (None, ["x1+2*x2-2", "x2^2-x2"], -1),      # (2,0), (0,1): u = 2 on both
+    (None, ["x1^2-1", "x2^2-4"], -1),          # four reduced points
+])
+def test_radical_route_matches_jacobian_on_points(K, field_q, texts, want):
+    field = K if field_q is None else PrimeField(field_q)
+    R = analyze_ideal(field, 2, 1, [P(t, 2, field) for t in texts])
+    assert R.dim == 0
+    assert both_routes(R) == (want, want)
+
+
+def test_radical_route_matches_jacobian_on_grid(monkeypatch):
+    # every zero-dimensional cell of the n <= 4 grid at three seeds
+    checked = []
+
+    def recording(result, limits, cap):
+        if result.dim == 0:
+            checked.append(both_routes(result))
+        return singular_locus_dim(result, limits, cap)
+
+    monkeypatch.setattr(experiment, "singular_locus_dim", recording)
+    results = run_grid(4, seeds=3)
+    assert all(r.status == "ok" for r in results)
+    assert len(checked) == 18  # six zero-dimensional triples, three seeds
+    assert all(radical == jacobian for radical, jacobian in checked)
+
+
+def test_singular_locus_dim_preconditions(K):
+    empty = analyze_ideal(K, 1, 1, [P("x1", 1, K), P("x1+1", 1, K)])
+    with pytest.raises(PolarSpecError):
+        singular_locus_dim(empty)
+    # the minor-count cap is checked before the radical test runs
+    points = analyze_ideal(K, 2, 1, [P("x1^2-1", 2, K), P("x2^2-4", 2, K)])
+    with pytest.raises(MinorCapExceededError):
+        singular_locus_dim(points, cap=0)
+
+
+def test_radical_route_matches_jacobian_property(F7):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.integers(0, 6)
+
+    @st.composite
+    def ideals(draw):
+        # each generator a product of affine linear forms; the first one is
+        # raised to a power of 1 to 3, which repeats all of its factors
+        n = draw(st.sampled_from([2, 3]))
+        gens = []
+        for _ in range(n):
+            g = Polynomial.constant(F7, n, 1)
+            for _ in range(draw(st.integers(1, 3))):
+                form = Polynomial.constant(F7, n, draw(coeff))
+                for j in range(1, n + 1):
+                    form = form + Polynomial.variable(F7, n, j).scale(draw(coeff))
+                g = g * form
+            gens.append(g)
+        gens[0] = gens[0] ** draw(st.integers(1, 3))
+        return n, gens
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(ideals())
+    def check(case):
+        n, gens = case
+        R = analyze_ideal(F7, n, 1, gens)
+        if R.dim == 0:
+            radical, jacobian = both_routes(R)
+            assert radical == jacobian
+            seen.add(radical)
+
+    seen = set()
+    check()
+    assert seen == {-1, 0}  # both answers were exercised
 
 
 def test_verify_smooth_complete_intersection_cases(K, circle):
