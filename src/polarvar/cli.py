@@ -199,7 +199,7 @@ def cmd_singular(args) -> int:
         return EXIT_OK
     mode = "full"
     try:
-        dim_sing = singular_locus_dim(result, limits, cap=args.minor_cap)
+        dim_sing, _ = singular_locus_dim(result, limits, cap=args.minor_cap)
     except MinorCapExceededError:
         mode = "delta"
         dim_sing = delta_ideal(spec, limits).dim

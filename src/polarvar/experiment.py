@@ -200,8 +200,8 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
                     dim_sing, route = -1, "empty"
                 else:
                     try:
-                        dim_sing = singular_locus_dim(result, limits, cap=minor_cap)
-                        route = "radical" if result.dim == 0 else "jacobian"
+                        dim_sing, route = singular_locus_dim(result, limits,
+                                                             cap=minor_cap)
                     except MinorCapExceededError:
                         mode_used = MODE_DELTA
                         dim_sing = delta_ideal(pspec, limits).dim

@@ -409,7 +409,7 @@ def example2_chain(F: Sequence[Polynomial], gamma: Sequence[int],
         res = analyze_ideal(field, n + 1, p, loc.generators, limits)
         smooth = True
         if res.dim >= 0:
-            smooth = singular_locus_dim(res, limits, cap=minor_cap) < 0
+            smooth = singular_locus_dim(res, limits, cap=minor_cap)[0] < 0
         levels.append(ChainLevel(i=i, dim=res.dim, degree=res.degree,
                                  smooth=smooth))
         gens_by_level.append(loc.generators)

@@ -459,7 +459,8 @@ def standard_monomials(G: GroebnerBasis, cap: int = 10**6) -> list[Monomial]:
     A staircase walk from 1: each standard monomial grows only in variables
     at or after its last nonzero exponent, so every monomial is reached
     once, and a child is kept when no leading monomial divides it (divisors
-    of standard monomials are standard, so no parent is ever missed)."""
+    of standard monomials are standard, so no parent is ever missed).
+    More than `cap` of them raises BudgetExceededError."""
     lms = G.leading_monomials
     n = G.n
     if any(not any(m) for m in lms):
@@ -480,7 +481,7 @@ def standard_monomials(G: GroebnerBasis, cap: int = 10**6) -> list[Monomial]:
                     grown.append((c, j))
         out.extend(c for c, _ in grown)
         if len(out) > cap:
-            raise ValueError("staircase too large to enumerate")
+            raise BudgetExceededError("standard monomials", cap)
         level = grown
     out.sort(key=drl_key)
     return out
@@ -488,7 +489,10 @@ def standard_monomials(G: GroebnerBasis, cap: int = 10**6) -> list[Monomial]:
 
 def standard_monomial_count(G: GroebnerBasis, cap: int = 10**6) -> int:
     """Number of monomials outside the leading-term ideal (finite staircases)."""
-    return len(standard_monomials(G, cap))
+    try:
+        return len(standard_monomials(G, cap))
+    except BudgetExceededError:
+        raise ValueError("staircase too large to enumerate") from None
 
 
 # ------------------------------------------------------------- radical test
@@ -522,7 +526,22 @@ def _is_squarefree(f: Sequence[int], q: int) -> bool:
     return len(_upoly_gcd(f, df, q)) == 1
 
 
-def _minimal_polynomial(cols: list[list[tuple[int, int]]], q: int) -> list[int]:
+class _WorkBudget:
+    """Counts the sparse vector operations of the radical test."""
+
+    __slots__ = ("left", "limit")
+
+    def __init__(self, limit: int):
+        self.left = self.limit = limit
+
+    def spend(self, ops: int) -> None:
+        self.left -= ops
+        if self.left < 0:
+            raise BudgetExceededError("radical-test operations", self.limit)
+
+
+def _minimal_polynomial(cols: list[list[tuple[int, int]]], q: int,
+                        budget: _WorkBudget) -> list[int]:
     """Monic minimal polynomial, lowest degree first, of standard monomial 0
     (the monomial 1) under the linear map whose column s is cols[s].
 
@@ -536,6 +555,7 @@ def _minimal_polynomial(cols: list[list[tuple[int, int]]], q: int) -> list[int]:
     power[0] = 1
     k = 0
     while True:
+        budget.spend(len(rows) + D)
         v = list(power)
         combo = [0] * k + [1]
         for pivot, row, rcombo in rows:
@@ -561,7 +581,7 @@ def _minimal_polynomial(cols: list[list[tuple[int, int]]], q: int) -> list[int]:
         k += 1
 
 
-def is_radical_zero_dim(G: GroebnerBasis) -> bool:
+def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> bool:
     """Whether the zero-dimensional ideal with reduced basis G is radical.
 
     R/I has the D standard monomials as a basis.  Multiplication by x_j
@@ -570,14 +590,20 @@ def is_radical_zero_dim(G: GroebnerBasis) -> bool:
     (Faugere-Gianni-Lazard-Mora, JSC 1993), assembled from the normal form
     of a smaller border monomial b / x_k.  Over the perfect field F_q, R/I
     is reduced exactly when every minimal polynomial of x_j is squarefree
-    (Seidenberg's lemma); a minimal polynomial with a repeated factor of any
-    element refutes it.  The fixed form u = x_1 + 2 x_2 + ... + n x_n is
-    tried first: a squarefree minimal polynomial f of degree D makes R/I
-    isomorphic to F_q[t]/(f), which is reduced.  Only when u has degree
-    below D are the n variables tested one by one.  Both answers are exact.
-    The unit ideal counts as radical."""
+    (Seidenberg's lemma).  The variables are tested in order, and the loop
+    stops early both ways: a minimal polynomial with a repeated factor
+    refutes reducedness, and a squarefree one of degree D makes R/I
+    isomorphic to F_q[t]/(f), which is reduced.  Both answers are exact.
+    The unit ideal counts as radical.
+
+    limits.max_pairs bounds the work, counted as the standard monomials plus
+    one operation per vector combined while assembling a normal form or a
+    Krylov vector.  Going over raises BudgetExceededError; a staircase that
+    is not finite raises ValueError."""
     q, n = G.field.q, G.n
-    staircase = standard_monomials(G)
+    budget = _WorkBudget(limits.max_pairs)
+    staircase = standard_monomials(G, cap=limits.max_pairs)
+    budget.spend(len(staircase))
     D = len(staircase)
     if D == 0:
         return True
@@ -597,26 +623,21 @@ def is_radical_zero_dim(G: GroebnerBasis) -> bool:
         # normal form is smaller than b, hence already has a normal form
         k = min((k for k in range(n) if b[k] and _bump(b, k, -1) not in index),
                 key=lambda k: len(nf[_bump(b, k, -1)]))
+        budget.spend(len(nf[_bump(b, k, -1)]))
         acc: dict[int, int] = {}
         for t, c in nf[_bump(b, k, -1)].items():
             for idx, x in nf[_bump(staircase[t], k)].items():
                 acc[idx] = acc.get(idx, 0) + c * x
         nf[b] = {idx: x % q for idx, x in acc.items() if x % q}
 
-    maps = [[sorted(nf[_bump(m, j)].items()) for m in staircase] for j in range(n)]
-    u_cols = []
-    for s in range(D):
-        acc = {}
-        for j in range(n):
-            for idx, x in maps[j][s]:
-                acc[idx] = acc.get(idx, 0) + (j + 1) * x
-        u_cols.append(sorted((idx, x % q) for idx, x in acc.items() if x % q))
-    f = _minimal_polynomial(u_cols, q)
-    if not _is_squarefree(f, q):
-        return False
-    if len(f) - 1 == D:
-        return True
-    return all(_is_squarefree(_minimal_polynomial(cols, q), q) for cols in maps)
+    for j in range(n):
+        f = _minimal_polynomial([sorted(nf[_bump(m, j)].items()) for m in staircase],
+                                q, budget)
+        if not _is_squarefree(f, q):
+            return False
+        if len(f) - 1 == D:
+            return True
+    return True
 
 
 # ---------------------------------------------------------------- localization

@@ -258,8 +258,9 @@ def singular_locus_ideal(result: PolarIdealResult, c: int,
 
 def singular_locus_dim(result: PolarIdealResult,
                        limits: GBLimits = DEFAULT_LIMITS,
-                       cap: int = DEFAULT_MINOR_CAP) -> int:
-    """Dimension of the singular locus of the variety behind `result`.
+                       cap: int = DEFAULT_MINOR_CAP) -> tuple[int, str]:
+    """Dimension of the singular locus of the variety behind `result`, and
+    the route that decided it ("radical" or "jacobian").
 
     The Jacobian criterion's minor-count cap is checked first, as
     singular_locus_ideal does, so callers fall back to the delta proxy on
@@ -268,9 +269,10 @@ def singular_locus_dim(result: PolarIdealResult,
     reduced basis (-1 when radical, 0 otherwise); positive dimensions go
     through singular_locus_ideal."""
     if result.dim != 0:
-        return singular_locus_ideal(result, result.n - result.dim, limits, cap).dim
+        sing = singular_locus_ideal(result, result.n - result.dim, limits, cap)
+        return sing.dim, "jacobian"
     _check_minor_count(result.ideal.generators, result.n, cap)
-    return -1 if is_radical_zero_dim(result.gb) else 0
+    return (-1 if is_radical_zero_dim(result.gb, limits) else 0), "radical"
 
 
 @dataclass

@@ -9,6 +9,7 @@ from polarvar.experiment import (CellSpec, derive_seed,
                                  random_dense_poly, random_full_rank_matrix,
                                  run_cell, run_grid, sample_points_small_field,
                                  random_smooth_system, summarize_grid)
+from polarvar.groebner import GBLimits
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import evaluate
 
@@ -155,3 +156,6 @@ def test_cell_records_singular_route(K):
     capped = run_cell(CellSpec(5, 2, 3, seed=seed), minor_cap=1)
     assert (capped.mode, capped.sing_route) == ("delta", "delta")
     assert capped.dim_sing == radical.dim_sing
+    # W's basis fits in 50 pairs, the radical test does not: the cell skips
+    starved = run_cell(CellSpec(5, 2, 3, seed=seed), GBLimits(max_pairs=50))
+    assert (starved.status, starved.dim_W, starved.sing_route) == ("skipped", 0, None)

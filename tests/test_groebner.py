@@ -207,12 +207,29 @@ def test_is_radical_zero_dim_examples(K, F7):
     assert not is_radical_zero_dim(gb_of(K, 2, ["x1^2", "x2"]))
     # (x1 - 1)^2 (x1 + 1): a double point next to a simple one
     assert not is_radical_zero_dim(gb_of(K, 2, ["x1^3-x1^2-x1+1", "x2-x1"]))
-    # u = x1 + 2*x2 takes the value 2 at both points: per-variable fallback
-    assert is_radical_zero_dim(gb_of(K, 2, ["x1+2*x2-2", "x2^2-x2"]))
+    # x1 takes one value at both points, so x2 decides
+    assert is_radical_zero_dim(gb_of(K, 2, ["x1", "x2^2-x2"]))
+    # x1 is squarefree of degree 2 < D = 4; the repeated factor is in x2
+    assert not is_radical_zero_dim(gb_of(K, 2, ["x1^2-1", "x2^2"]))
     # x1^7 - 3 = (x1 - 3)^7 over F_7, whose derivative vanishes
     assert not is_radical_zero_dim(gb_of(F7, 2, ["x1^7-3", "x2-x1"]))
     assert is_radical_zero_dim(gb_of(F7, 1, ["x1^7-x1"]))
     assert is_radical_zero_dim(gb_of(K, 2, ["x1", "x1+1"]))  # unit ideal
+    with pytest.raises(ValueError):
+        is_radical_zero_dim(gb_of(K, 2, ["x1^2"]))  # x2 is free
+
+
+def test_is_radical_zero_dim_budget(K):
+    # D = 4 standard monomials, then border normal forms and two Krylov
+    # sequences: a budget below the work needed fails loudly
+    four_points = gb_of(K, 2, ["x1^2-1", "x2^2-1"])
+    with pytest.raises(BudgetExceededError):
+        is_radical_zero_dim(four_points, GBLimits(max_pairs=3))
+    with pytest.raises(BudgetExceededError):
+        is_radical_zero_dim(four_points, GBLimits(max_pairs=10))
+    assert is_radical_zero_dim(four_points, GBLimits(max_pairs=1000))
+    with pytest.raises(BudgetExceededError):
+        standard_monomials(four_points, cap=3)
 
 
 def test_staircase_summary(K):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from polarvar.field import PrimeField
-from polarvar.groebner import normal_form, reduced_groebner_basis, IdealPresentation
+from polarvar.groebner import (BudgetExceededError, GBLimits, IdealPresentation,
+                               normal_form, reduced_groebner_basis)
 from polarvar.matrices import ConstMatrix, minor_count
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial
@@ -185,15 +186,17 @@ def test_minor_cap_triggers_explicit_error(K):
 
 def both_routes(R):
     """dim sing by singular_locus_dim and by the Jacobian criterion."""
-    return singular_locus_dim(R), singular_locus_ideal(R, R.n - R.dim).dim
+    return singular_locus_dim(R)[0], singular_locus_ideal(R, R.n - R.dim).dim
 
 
 @pytest.mark.parametrize("field_q, texts, want", [
     (None, ["x1^2", "x2"], 0),                 # a double point at the origin
     (None, ["x2-1", "x1^2+x2^2-1"], 0),        # tangent line to the circle
     (7, ["x1^7-3", "x2-x1"], 0),               # (x1-3)^7 over F_7: f' = 0
-    (None, ["x1+2*x2-2", "x2^2-x2"], -1),      # (2,0), (0,1): u = 2 on both
+    (None, ["x1+2*x2-2", "x2^2-x2"], -1),      # (2,0), (0,1): x1 decides
+    (None, ["x1", "x2^2-x2"], -1),             # (0,0), (0,1): x2 decides
     (None, ["x1^2-1", "x2^2-4"], -1),          # four reduced points
+    (None, ["x1^2-1", "x2^2"], 0),             # x1 squarefree, x2 is not
 ])
 def test_radical_route_matches_jacobian_on_points(K, field_q, texts, want):
     field = K if field_q is None else PrimeField(field_q)
@@ -226,6 +229,10 @@ def test_singular_locus_dim_preconditions(K):
     points = analyze_ideal(K, 2, 1, [P("x1^2-1", 2, K), P("x2^2-4", 2, K)])
     with pytest.raises(MinorCapExceededError):
         singular_locus_dim(points, cap=0)
+    assert singular_locus_dim(points) == (-1, "radical")
+    # the radical test runs under the Groebner limits it is given
+    with pytest.raises(BudgetExceededError):
+        singular_locus_dim(points, GBLimits(max_pairs=5))
 
 
 def test_radical_route_matches_jacobian_property(F7):
