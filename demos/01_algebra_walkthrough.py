@@ -9,15 +9,13 @@ Run from the repository root:
 
 from polarvar import (GBLimits, IdealPresentation, PrimeField, degree,
                       dimension, localize_rabinowitsch, normal_form,
-                      parse_polynomial, reduced_groebner_basis,
-                      staircase_summary)
+                      parse_polynomial, reduced_groebner_basis)
 
 K = PrimeField()  # q = 10000000019
 print(f"working over the prime field with q = {K.q}")
 
-# Field elements behave like residues with exact inverses.
-a = K.element(2)
-print(f"2^-1 mod q = {a.inverse().value}")
+# Values are canonical residues with exact inverses.
+print(f"2^-1 mod q = {K.inv(2)}")
 
 # Polynomials parse from a small grammar and print canonically
 # (degrevlex order, balanced signs).
@@ -37,8 +35,7 @@ for b in G.basis:
     print(f"  {b}")
 
 # Dimension and degree come off the staircase of leading terms.
-summary = staircase_summary(G)
-print(f"dimension {summary.dimension}, degree {summary.degree}")
+print(f"dimension {dimension(G)}, degree {degree(G)}")
 
 # Membership via normal forms: generators reduce to zero.
 print(f"normal form of the sphere equation: {normal_form(sphere, G)}")

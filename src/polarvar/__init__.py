@@ -7,25 +7,23 @@ experiment together with the explicit singular and meagerly generic
 families.
 """
 
-from .field import DEFAULT_PRIME, FieldElement, PrimeField, field_inverse, is_prime
-from .poly import Point, Polynomial, differentiate, evaluate, multiply
+from .field import DEFAULT_PRIME, PrimeField, is_prime
+from .poly import Point, Polynomial, differentiate, evaluate
 from .parsing import ParseError, parse_polynomial, parse_system
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
-                       enumerate_minors, jacobian, minor_count, rank_at_point)
+                       enumerate_minors, jacobian, minor_count)
 from .groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
-                       IdealPresentation, StaircaseSummary, degree, dimension,
-                       hilbert_numerator, is_radical_zero_dim,
-                       localize_rabinowitsch, normal_form,
-                       reduced_groebner_basis, staircase_summary,
-                       standard_monomial_count, standard_monomials)
+                       IdealPresentation, degree, dimension, hilbert_numerator,
+                       is_radical_zero_dim, localize_rabinowitsch, normal_form,
+                       reduced_groebner_basis, standard_monomial_count,
+                       standard_monomials)
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarIdealResult,
                     PolarSpec, PolarSpecError, PointClassificationError,
-                    SmoothnessReport, classic_polar_ideal, delta_generators,
-                    delta_ideal, dual_polar_ideal, incidence_fiber_dim,
-                    polar_generators, polar_ideal, polar_stack,
-                    singular_locus_dim, singular_locus_generators,
-                    singular_locus_ideal, thom_boardman_class,
-                    verify_smooth_complete_intersection)
+                    SmoothnessReport, delta_generators, delta_ideal,
+                    incidence_fiber_dim, polar_generators, polar_ideal,
+                    polar_singular_dim, polar_stack, singular_locus_dim,
+                    singular_locus_generators, singular_locus_ideal,
+                    thom_boardman_class, verify_smooth_complete_intersection)
 from .families import (ChainReport, DegreeReport, Family31Instance,
                        MeagerMatrixZ, WitnessReport, build_family_31,
                        corner_minor, degree_domination_check, example1_transform,

@@ -24,7 +24,7 @@ from .matrices import ConstMatrix
 from .parsing import ParseError, parse_system
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarSpec,
                     PolarSpecError, PointClassificationError, delta_ideal,
-                    incidence_fiber_dim, polar_ideal, singular_locus_dim,
+                    incidence_fiber_dim, polar_ideal, polar_singular_dim,
                     thom_boardman_class)
 from .poly import Point, Polynomial
 
@@ -150,7 +150,8 @@ def cmd_deg(args) -> int:
     field = _field(args)
     F, n = _load_system(args.system, field)
     G = reduced_groebner_basis(IdealPresentation(field, n, F), _limits(args))
-    _emit(args, str(degree(G)), {"n": n, "degree": degree(G)})
+    d = degree(G)
+    _emit(args, str(d), {"n": n, "degree": d})
     return EXIT_OK
 
 
@@ -193,17 +194,10 @@ def cmd_singular(args) -> int:
     spec = _polar_spec(args, field, F, n)
     limits = _limits(args)
     result = polar_ideal(spec, limits)
-    if result.dim < 0:
-        _emit(args, "-1 (polar variety empty)",
-              {"dim_W": -1, "dim_sing": -1, "mode": "full"})
-        return EXIT_OK
-    mode = "full"
-    try:
-        dim_sing, _ = singular_locus_dim(result, limits, cap=args.minor_cap)
-    except MinorCapExceededError:
-        mode = "delta"
-        dim_sing = delta_ideal(spec, limits).dim
-    _emit(args, f"{dim_sing}" + ("  (delta proxy)" if mode == "delta" else ""),
+    dim_sing, route = polar_singular_dim(spec, result, limits, cap=args.minor_cap)
+    mode = MODE_DELTA if route == "delta" else MODE_FULL
+    note = {"empty": " (polar variety empty)", "delta": "  (delta proxy)"}
+    _emit(args, f"{dim_sing}{note.get(route, '')}",
           {"dim_W": result.dim, "dim_sing": dim_sing, "mode": mode})
     return EXIT_OK
 

@@ -30,9 +30,8 @@ from .field import DEFAULT_PRIME, PrimeField
 from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
 from .matrices import ConstMatrix, jacobian
 from .poly import Point, Polynomial
-from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarSpec, delta_ideal,
-                    polar_ideal, singular_locus_dim,
-                    verify_smooth_complete_intersection)
+from .polar import (CLASSIC, DUAL, PolarSpec, delta_ideal, polar_ideal,
+                    polar_singular_dim, verify_smooth_complete_intersection)
 
 MODE_FULL = "full"
 MODE_DELTA = "delta"
@@ -192,26 +191,18 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
             # a failed the (probabilistic) genericity requirement
             redraws += 1
             continue
-        mode_used = spec.mode
-        route = "delta"
         try:
             if spec.mode == MODE_FULL:
-                if result.dim < 0:
-                    dim_sing, route = -1, "empty"
-                else:
-                    try:
-                        dim_sing, route = singular_locus_dim(result, limits,
-                                                             cap=minor_cap)
-                    except MinorCapExceededError:
-                        mode_used = MODE_DELTA
-                        dim_sing = delta_ideal(pspec, limits).dim
+                dim_sing, route = polar_singular_dim(pspec, result, limits,
+                                                     cap=minor_cap)
             else:
-                dim_sing = delta_ideal(pspec, limits).dim
+                dim_sing, route = delta_ideal(pspec, limits).dim, "delta"
         except BudgetExceededError:
             return finish("skipped", reg=True, smooth=True, dim_w=result.dim,
                           deg_w=result.degree, redraws=redraws)
         return finish("ok", reg=True, smooth=True, dim_w=result.dim,
-                      deg_w=result.degree, dim_sing=dim_sing, mode=mode_used,
+                      deg_w=result.degree, dim_sing=dim_sing,
+                      mode=MODE_DELTA if route == "delta" else MODE_FULL,
                       redraws=redraws, route=route)
     return finish("redraws_exhausted", redraws=redraws)
 

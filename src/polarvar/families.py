@@ -29,6 +29,7 @@ from typing import Sequence
 from .field import PrimeField
 from .groebner import (DEFAULT_LIMITS, GBLimits, IdealPresentation,
                        localize_rabinowitsch, normal_form)
+from .experiment import random_full_rank_matrix
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
                        jacobian)
 from .poly import Point, Polynomial, differentiate, evaluate
@@ -469,15 +470,6 @@ class DegreeReport:
                         for v in ds))
 
 
-def _random_full_rank(rng: random.Random, field: PrimeField, rows: int,
-                      cols: int) -> ConstMatrix:
-    while True:
-        M = ConstMatrix(field, [[rng.randrange(field.q) for _ in range(cols)]
-                                for _ in range(rows)])
-        if M.rank() == rows:
-            return M
-
-
 def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
                             seed: int, flavor: str = CLASSIC,
                             structured_draws: int = 3,
@@ -489,6 +481,8 @@ def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
     F = list(F)
     field, n = F[0].field, F[0].n
     p = len(F)
+    if not 1 <= i <= n - p:
+        raise PolarSpecError(f"need 1 <= i <= n-p = {n - p}, got i={i}")
     rng = random.Random(seed)
     rows = n - p - i + 1
 
@@ -497,7 +491,7 @@ def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
 
     random_degs = []
     for _ in range(trials):
-        a = _random_full_rank(rng, field, rows, n)
+        a = random_full_rank_matrix(rng, field, rows, n)
         if flavor == CLASSIC:
             spec = PolarSpec.classic(n, p, i, F, a)
         else:

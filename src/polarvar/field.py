@@ -52,33 +52,10 @@ class PrimeField:
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
 
-    def reduce(self, v: int) -> int:
-        return v % self.q
-
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - self.q if s >= self.q else s
-
-    def sub(self, a: int, b: int) -> int:
-        d = a - b
-        return d + self.q if d < 0 else d
-
-    def neg(self, a: int) -> int:
-        return self.q - a if a else 0
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, -1, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.q)
-
-    def element(self, v: int) -> "FieldElement":
-        return FieldElement(self, v)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
@@ -88,102 +65,3 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
-
-
-class FieldElement:
-    """A canonical residue in [0, q) with field operations.
-
-    Arithmetic accepts either another element of the same field or a plain
-    integer, which is reduced first.  Comparison against integers compares
-    canonical residues.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        self.field = field
-        self.value = value % field.q
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, self.field.inv(v)))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(v, self.field.inv(self.value)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return FieldElement(self.field, self.field.pow(self.field.inv(self.value), -e))
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {self.field.q})"
-
-
-def field_inverse(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ZeroDivisionError on zero input."""
-    return a.inverse()

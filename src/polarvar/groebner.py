@@ -432,21 +432,6 @@ def degree(G: GroebnerBasis) -> int:
     return sum(num)
 
 
-@dataclass(frozen=True)
-class StaircaseSummary:
-    """Dimension and degree read off one reduced basis."""
-
-    dimension: int
-    degree: int
-    is_zero_dimensional: bool
-
-
-def staircase_summary(G: GroebnerBasis) -> StaircaseSummary:
-    d = dimension(G)
-    return StaircaseSummary(dimension=d, degree=degree(G),
-                            is_zero_dimensional=d == 0)
-
-
 def _bump(m: Monomial, j: int, by: int = 1) -> Monomial:
     """m with the exponent of x_(j+1) raised by `by`."""
     return m[:j] + (m[j] + by,) + m[j + 1:]

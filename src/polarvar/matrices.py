@@ -1,9 +1,10 @@
 """Matrices with polynomial or constant entries.
 
 Covers the linear-algebra layer the polar constructions sit on: Jacobian
-assembly, division-free symbolic determinants (Berkowitz), streaming minor
-enumeration in a fixed lexicographic subset order, and numeric rank of an
-evaluated matrix via Gaussian elimination over the prime field.
+assembly, division-free symbolic determinants and streaming minor
+enumeration (both by one memoised Laplace expansion, minors in a fixed
+lexicographic subset order), and numeric rank of an evaluated matrix via
+Gaussian elimination over the prime field.
 """
 
 from __future__ import annotations
@@ -223,78 +224,13 @@ def jacobian(F: Sequence[Polynomial]) -> PolyMatrix:
 MAX_DET_SIZE = 12
 
 
-def _berkowitz_vector(rows: list[list[Polynomial]], field: PrimeField, n: int
-                      ) -> list[Polynomial]:
-    """Coefficients [1, c1, ..., ck] of det(tI - M), top degree first."""
-    k = len(rows)
-    one = Polynomial.constant(field, n, 1)
-    if k == 0:
-        return [one]
-    if k == 1:
-        return [one, -rows[0][0]]
-    a = rows[0][0]
-    R = rows[0][1:]
-    C = [row[0] for row in rows[1:]]
-    A = [row[1:] for row in rows[1:]]
-    zero = Polynomial.zero(field, n)
+def _laplace_minors(M: PolyMatrix):
+    """det(rows, cols) of any square submatrix of M, as a term dict.
 
-    def matvec(mat: list[list[Polynomial]], vec: list[Polynomial]) -> list[Polynomial]:
-        out = []
-        for row in mat:
-            s = zero
-            for p, v in zip(row, vec):
-                if not (p.is_zero or v.is_zero):
-                    s = s + p * v
-            out.append(s)
-        return out
-
-    diags = [C]
-    for _ in range(k - 2):
-        diags.append(matvec(A, diags[-1]))
-    dots = []
-    for d in diags:
-        s = zero
-        for p, v in zip(R, d):
-            if not (p.is_zero or v.is_zero):
-                s = s + p * v
-        dots.append(-s)
-    col = [one, -a] + dots  # first column of the (k+1) x k Toeplitz matrix
-    v = _berkowitz_vector(A, field, n)
-    out = []
-    for i in range(k + 1):
-        s = zero
-        for j in range(min(i, k - 1) + 1):
-            t = col[i - j]
-            if not (t.is_zero or v[j].is_zero):
-                s = s + t * v[j]
-        out.append(s)
-    return out
-
-
-def determinant_division_free(M: PolyMatrix) -> Polynomial:
-    """Exact symbolic determinant by the Berkowitz division-free recursion."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of non-square matrix")
-    if M.rows > MAX_DET_SIZE:
-        raise ValueError(f"matrix size {M.rows} exceeds the {MAX_DET_SIZE} cap")
-    v = _berkowitz_vector([list(r) for r in M.entries], M.field, M.n)
-    det = v[-1]
-    return det if M.rows % 2 == 0 else -det
-
-
-def minor_count(M: PolyMatrix, r: int) -> int:
-    return comb(M.rows, r) * comb(M.cols, r)
-
-
-def enumerate_minors(M: PolyMatrix, r: int) -> Iterator[Polynomial]:
-    """All r-minors, streamed in lexicographic (row-set, column-set) order.
-
-    Minors of one matrix share subdeterminants heavily, so the determinants
-    are expanded along the last row with a memo over (row-set, column-set)
-    keys instead of running the generic division-free recursion per minor.
-    """
-    if not 1 <= r <= min(M.rows, M.cols):
-        raise ValueError(f"minor size {r} out of range for {M.rows}x{M.cols}")
+    Minors of one matrix share subdeterminants heavily, so each determinant
+    is expanded along its last row with a memo over (row-set, column-set)
+    keys; the expansion uses no division.  Returned dicts are shared with
+    the memo and must not be mutated."""
     q = M.field.q
     entries = [[p.terms for p in row] for row in M.entries]
     memo: dict[tuple, dict] = {}
@@ -317,35 +253,47 @@ def enumerate_minors(M: PolyMatrix, r: int) -> Iterator[Polynomial]:
             sub = det(sub_rows, cols[:j] + cols[j + 1:])
             if not sub:
                 continue
-            if (k - 1 + j) % 2 == 0:
-                for m1, c1 in e.items():
-                    for m2, c2 in sub.items():
-                        mm = tuple(a + b for a, b in zip(m1, m2))
-                        v = (acc.get(mm, 0) + c1 * c2) % q
-                        if v:
-                            acc[mm] = v
-                        else:
-                            acc.pop(mm, None)
-            else:
-                for m1, c1 in e.items():
-                    for m2, c2 in sub.items():
-                        mm = tuple(a + b for a, b in zip(m1, m2))
-                        v = (acc.get(mm, 0) - c1 * c2) % q
-                        if v:
-                            acc[mm] = v
-                        else:
-                            acc.pop(mm, None)
+            negate = (k - 1 + j) % 2
+            for m1, c1 in e.items():
+                if negate:
+                    c1 = q - c1
+                for m2, c2 in sub.items():
+                    mm = tuple(a + b for a, b in zip(m1, m2))
+                    v = (acc.get(mm, 0) + c1 * c2) % q
+                    if v:
+                        acc[mm] = v
+                    else:
+                        acc.pop(mm, None)
         memo[key] = acc
         return acc
 
+    return det
+
+
+def determinant_division_free(M: PolyMatrix) -> Polynomial:
+    """Exact symbolic determinant by memoised Laplace expansion."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of non-square matrix")
+    if M.rows > MAX_DET_SIZE:
+        raise ValueError(f"matrix size {M.rows} exceeds the {MAX_DET_SIZE} cap")
+    full = tuple(range(M.rows))
+    return Polynomial(M.field, M.n, dict(_laplace_minors(M)(full, full)),
+                      _clean=True)
+
+
+def minor_count(M: PolyMatrix, r: int) -> int:
+    return comb(M.rows, r) * comb(M.cols, r)
+
+
+def enumerate_minors(M: PolyMatrix, r: int) -> Iterator[Polynomial]:
+    """All r-minors, streamed in lexicographic (row-set, column-set) order."""
+    if not 1 <= r <= min(M.rows, M.cols):
+        raise ValueError(f"minor size {r} out of range for {M.rows}x{M.cols}")
+    det = _laplace_minors(M)
     for row_idx in combinations(range(M.rows), r):
         for col_idx in combinations(range(M.cols), r):
             yield Polynomial(M.field, M.n, dict(det(row_idx, col_idx)),
                              _clean=True)
-
-
-def rank_at_point(M: PolyMatrix, x: Point | Sequence[int]) -> int:
-    return M.evaluate(x).rank()
 
 
 def stack_jacobian_const(F: Sequence[Polynomial], a: ConstMatrix) -> PolyMatrix:

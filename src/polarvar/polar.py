@@ -12,7 +12,10 @@ singular_locus_dim decides the singular locus of a zero-dimensional
 polar variety W by an exact radical test on its reduced basis (W is
 singular exactly at its non-reduced points); the Jacobian criterion,
 singular_locus_ideal, handles positive dimension and serves as the
-independent oracle for the radical test in the tests.
+independent oracle for the radical test in the tests.  polar_singular_dim
+adds the policy shared by the experiment and the CLI: an empty W has
+dimension -1, and a Jacobian criterion past the minor cap falls back to
+the rank-degeneracy proxy.
 """
 
 from __future__ import annotations
@@ -188,20 +191,6 @@ def analyze_ideal(field: PrimeField, n: int, p: int,
                             degree=deg, n=n, p=p)
 
 
-def classic_polar_ideal(spec: PolarSpec,
-                        limits: GBLimits = DEFAULT_LIMITS) -> PolarIdealResult:
-    if spec.flavor != CLASSIC:
-        raise PolarSpecError("classic_polar_ideal needs a classic spec")
-    return analyze_ideal(spec.field, spec.n, spec.p, polar_generators(spec), limits)
-
-
-def dual_polar_ideal(spec: PolarSpec,
-                     limits: GBLimits = DEFAULT_LIMITS) -> PolarIdealResult:
-    if spec.flavor != DUAL:
-        raise PolarSpecError("dual_polar_ideal needs a dual spec")
-    return analyze_ideal(spec.field, spec.n, spec.p, polar_generators(spec), limits)
-
-
 def polar_ideal(spec: PolarSpec, limits: GBLimits = DEFAULT_LIMITS) -> PolarIdealResult:
     return analyze_ideal(spec.field, spec.n, spec.p, polar_generators(spec), limits)
 
@@ -273,6 +262,22 @@ def singular_locus_dim(result: PolarIdealResult,
         return sing.dim, "jacobian"
     _check_minor_count(result.ideal.generators, result.n, cap)
     return (-1 if is_radical_zero_dim(result.gb, limits) else 0), "radical"
+
+
+def polar_singular_dim(spec: PolarSpec, result: PolarIdealResult,
+                       limits: GBLimits = DEFAULT_LIMITS,
+                       cap: int = DEFAULT_MINOR_CAP) -> tuple[int, str]:
+    """Dimension of the singular locus of the polar variety W of `spec`,
+    whose polar ideal is `result`, and the route that decided it: "empty"
+    (W is empty, -1), "radical" or "jacobian" (singular_locus_dim), or
+    "delta" when the Jacobian criterion's minor count exceeds `cap` and
+    the rank-degeneracy proxy delta_ideal answers instead."""
+    if result.dim < 0:
+        return -1, "empty"
+    try:
+        return singular_locus_dim(result, limits, cap)
+    except MinorCapExceededError:
+        return delta_ideal(spec, limits).dim, "delta"
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 Monomial = tuple[int, ...]
 
@@ -305,10 +305,6 @@ def as_coordinates(field: PrimeField, x: "Point | Sequence[int]") -> tuple[int, 
     return tuple(v % field.q for v in x)
 
 
-def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
 def differentiate(f: Polynomial, j: int) -> Polynomial:
     """Formal partial derivative with respect to x_j (1-indexed)."""
     if not 1 <= j <= f.n:
@@ -348,7 +344,3 @@ def evaluate(f: Polynomial, x: "Point | Sequence[int]") -> int:
             v = v * pj[e] % q
         total = (total + v) % q
     return total
-
-
-def evaluate_element(f: Polynomial, x: "Point | Sequence[int]") -> FieldElement:
-    return f.field.element(evaluate(f, x))

@@ -62,6 +62,37 @@ def test_delta_and_singular(circle_file, a10_file, capsys):
     assert payload["dim_sing"] == -1 and payload["mode"] == "full"
 
 
+def test_singular_falls_back_to_delta_past_the_minor_cap(tmp_path, capsys):
+    system = tmp_path / "sphere.txt"
+    system.write_text("x1^2+x2^2+x3^2-1\n")
+    matrix = tmp_path / "a.json"
+    matrix.write_text("[[1,2,3],[4,5,7]]")
+    base = ["singular", "--i", "1", "--system", str(system),
+            "--matrix", str(matrix)]
+    assert dispatch(base + ["--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "dim_W": 1, "dim_sing": -1, "mode": "full"}
+    assert dispatch(base + ["--minor-cap", "1", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "dim_W": 1, "dim_sing": -1, "mode": "delta"}
+    assert dispatch(base + ["--minor-cap", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "-1  (delta proxy)\n"
+
+
+def test_singular_of_an_empty_polar_variety(tmp_path, capsys):
+    system = tmp_path / "line.txt"
+    system.write_text("x1 + x2 - 1\n")
+    matrix = tmp_path / "a.json"
+    matrix.write_text("[[1,0]]")
+    base = ["singular", "--i", "1", "--system", str(system),
+            "--matrix", str(matrix)]
+    assert dispatch(base) == EXIT_OK
+    assert capsys.readouterr().out == "-1 (polar variety empty)\n"
+    assert dispatch(base + ["--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "dim_W": -1, "dim_sing": -1, "mode": "full"}
+
+
 def test_tb_and_fiber(tmp_path, capsys):
     system = tmp_path / "sphere.txt"
     system.write_text("x1^2+x2^2+x3^2-1\n")
@@ -151,6 +182,15 @@ def test_degcmp_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["dominated"] is True
     assert payload["random_degrees"] == [2, 2]
+
+
+@pytest.mark.parametrize("i", ["-1", "0", "3", "5"])
+def test_degcmp_rejects_polar_index_out_of_range(tmp_path, capsys, i):
+    # the sphere has n - p = 2; a bad index must fail before any matrix draw
+    system = tmp_path / "sphere.txt"
+    system.write_text("x1^2+x2^2+x3^2-1\n")
+    assert dispatch(["degcmp", "--system", str(system), "--i", i]) == EXIT_INPUT
+    assert "1 <= i <= n-p" in capsys.readouterr().err
 
 
 def test_experiment_writes_deterministic_jsonl(tmp_path, capsys):

@@ -10,8 +10,8 @@ from polarvar.groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
                                IdealPresentation, degree, dimension,
                                hilbert_numerator, localize_rabinowitsch,
                                normal_form, reduced_groebner_basis,
-                               is_radical_zero_dim, staircase_summary,
-                               standard_monomial_count, standard_monomials)
+                               is_radical_zero_dim, standard_monomial_count,
+                               standard_monomials)
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import (Polynomial, drl_key, monomial_div, monomial_divides,
                            monomial_lcm)
@@ -234,14 +234,12 @@ def test_is_radical_zero_dim_budget(K):
 
 def test_staircase_summary(K):
     four_points = gb_of(K, 2, ["x1^2-1", "x2^2-1"])
-    s = staircase_summary(four_points)
-    assert s.is_zero_dimensional and s.dimension == 0
-    assert s.degree == 4 == standard_monomial_count(four_points)
-    empty = staircase_summary(gb_of(K, 2, ["x1", "x1+1"]))
-    assert (empty.dimension, empty.degree, empty.is_zero_dimensional) \
-        == (-1, 0, False)
-    sphere = staircase_summary(gb_of(K, 3, ["x1^2+x2^2+x3^2-1"]))
-    assert (sphere.dimension, sphere.degree) == (2, 2)
+    assert dimension(four_points) == 0
+    assert degree(four_points) == 4 == standard_monomial_count(four_points)
+    empty = gb_of(K, 2, ["x1", "x1+1"])
+    assert (dimension(empty), degree(empty)) == (-1, 0)
+    sphere = gb_of(K, 3, ["x1^2+x2^2+x3^2-1"])
+    assert (dimension(sphere), degree(sphere)) == (2, 2)
 
 
 def test_dimension_degree_invariant_under_presentation(K):

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from polarvar.matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
-                               enumerate_minors, jacobian, minor_count,
-                               rank_at_point, stack_jacobian_const)
+                               MAX_DET_SIZE, enumerate_minors, jacobian,
+                               minor_count, stack_jacobian_const)
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial, differentiate, evaluate
 
@@ -70,6 +70,13 @@ def test_determinant_rejects_non_square(K):
         determinant_division_free(M)
 
 
+def test_determinant_rejects_size_above_cap(K):
+    size = MAX_DET_SIZE + 1
+    M = poly_identity(K, size, 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        determinant_division_free(M)
+
+
 def test_berkowitz_against_cofactor_oracle(K):
     rng = random.Random(37)
     for trial in range(50):
@@ -84,7 +91,8 @@ def test_determinant_alternating_on_row_swap(K):
     M = PolyMatrix([[random_poly(rng, K, 2, max_degree=1, terms=2)
                      for _ in range(3)] for _ in range(3)])
     swapped = PolyMatrix([M.row(1), M.row(0), M.row(2)])
-    assert determinant_division_free(swapped) == -determinant_division_free(M)
+    assert determinant_division_free(M) == det_cofactor(M)
+    assert determinant_division_free(swapped) == -det_cofactor(M)
 
 
 def test_determinant_multiplicative_on_constants(K):
@@ -125,8 +133,7 @@ def test_minors_match_extracted_submatrix_determinants(K):
             k = 0
             for rows in combinations(range(3), r):
                 for cols in combinations(range(4), r):
-                    assert got[k] == determinant_division_free(
-                        M.submatrix(rows, cols))
+                    assert got[k] == det_cofactor(M.submatrix(rows, cols))
                     k += 1
 
 
@@ -138,8 +145,8 @@ def test_minor_size_range_checked(K):
 
 def test_rank_at_point(K):
     zero = PolyMatrix([[Polynomial.zero(K, 2)] * 3 for _ in range(2)])
-    assert rank_at_point(zero, [1, 2]) == 0
-    assert rank_at_point(poly_identity(K, 4, 2), [5, 6]) == 4
+    assert zero.evaluate([1, 2]).rank() == 0
+    assert poly_identity(K, 4, 2).evaluate([5, 6]).rank() == 4
 
 
 def test_rank_equals_largest_nonvanishing_minor(K):
@@ -148,7 +155,7 @@ def test_rank_equals_largest_nonvanishing_minor(K):
         M = PolyMatrix([[random_poly(rng, K, 2, max_degree=1, terms=2)
                          for _ in range(4)] for _ in range(3)])
         x = [rng.randrange(K.q) for _ in range(2)]
-        r = rank_at_point(M, x)
+        r = M.evaluate(x).rank()
         assert r <= 3
         largest = 0
         for size in range(1, 4):
@@ -164,7 +171,7 @@ def test_stacked_rank_at_least_constant_rank(K):
     stacked = stack_jacobian_const(F, a)
     for _ in range(10):
         x = [rng.randrange(K.q) for _ in range(3)]
-        assert rank_at_point(stacked, x) >= a.rank()
+        assert stacked.evaluate(x).rank() >= a.rank()
 
 
 def test_const_matrix_inverse_and_nullspace(K):

@@ -12,14 +12,14 @@ from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial
 from polarvar.polar import (MinorCapExceededError, PolarSpec, PolarSpecError,
                             PointClassificationError, analyze_ideal,
-                            classic_polar_ideal, delta_generators, delta_ideal,
-                            dual_polar_ideal, incidence_fiber_dim,
-                            polar_generators, polar_ideal, polar_stack,
+                            delta_generators, delta_ideal, incidence_fiber_dim,
+                            polar_generators, polar_ideal, polar_singular_dim,
+                            polar_stack,
                             singular_locus_dim, singular_locus_generators,
                             singular_locus_ideal,
                             thom_boardman_class,
                             verify_smooth_complete_intersection)
-from polarvar import experiment
+from polarvar import polar
 from polarvar.experiment import (derive_seed, random_dense_poly,
                                  random_full_rank_matrix, run_grid)
 
@@ -40,20 +40,20 @@ def sphere(K):
 
 def test_classic_circle_two_points(K, circle):
     spec = PolarSpec.classic(2, 1, 1, [circle], ConstMatrix(K, [[1, 0]]))
-    R = classic_polar_ideal(spec)
+    R = polar_ideal(spec)
     assert (R.dim, R.degree, R.codim_in_S) == (0, 2, 1)
 
 
 def test_classic_linear_form_is_empty(K):
     spec = PolarSpec.classic(2, 1, 1, [P("x1", 2, K)], ConstMatrix(K, [[3, 7]]))
-    R = classic_polar_ideal(spec)
+    R = polar_ideal(spec)
     assert R.dim == -1 and R.degree == 0 and R.codim_in_S is None
 
 
 def test_classic_sphere_equator(K, sphere):
     spec = PolarSpec.classic(3, 1, 1, [sphere],
                              ConstMatrix(K, [[1, 0, 0], [0, 1, 0]]))
-    R = classic_polar_ideal(spec)
+    R = polar_ideal(spec)
     assert (R.dim, R.degree) == (1, 2)
     # the construction forces x3 = 0 on the sphere
     G = R.gb
@@ -64,7 +64,7 @@ def test_classic_sphere_equator(K, sphere):
 def test_dual_circle_distance_critical_points(K, circle):
     spec = PolarSpec.dual(2, 1, 1, [circle], ConstMatrix(K, [[2, 0]]),
                           column0=[1])
-    R = dual_polar_ideal(spec)
+    R = polar_ideal(spec)
     assert (R.dim, R.degree) == (0, 2)
     # the single stacked determinant reduces to a multiple of x2
     gens = polar_generators(spec)
@@ -76,7 +76,7 @@ def test_dual_circle_center_degenerates(K, circle):
                           column0=[1], strict=False)
     gens = polar_generators(spec)
     assert gens[1].is_zero  # symbolic cancellation about the center
-    R = dual_polar_ideal(spec)
+    R = polar_ideal(spec)
     assert R.dim == 1  # the whole circle
 
 
@@ -96,9 +96,6 @@ def test_spec_preconditions(K, circle):
         PolarSpec.classic(2, 1, 1, [circle, circle], ConstMatrix(K, [[1, 0]]))
     with pytest.raises(PolarSpecError):
         PolarSpec.classic(3, 1, 1, [circle], ConstMatrix(K, [[1, 0, 0]]))
-    spec = PolarSpec.dual(2, 1, 1, [circle], ConstMatrix(K, [[1, 0]]))
-    with pytest.raises(PolarSpecError):
-        classic_polar_ideal(spec)
 
 
 def test_polar_stack_shape(K, sphere):
@@ -214,11 +211,26 @@ def test_radical_route_matches_jacobian_on_grid(monkeypatch):
             checked.append(both_routes(result))
         return singular_locus_dim(result, limits, cap)
 
-    monkeypatch.setattr(experiment, "singular_locus_dim", recording)
+    monkeypatch.setattr(polar, "singular_locus_dim", recording)
     results = run_grid(4, seeds=3)
     assert all(r.status == "ok" for r in results)
     assert len(checked) == 18  # six zero-dimensional triples, three seeds
     assert all(radical == jacobian for radical, jacobian in checked)
+
+
+def test_polar_singular_dim_routes(K, circle, sphere):
+    empty = PolarSpec.classic(2, 1, 1, [P("x1", 2, K)], ConstMatrix(K, [[3, 7]]))
+    assert polar_singular_dim(empty, polar_ideal(empty)) == (-1, "empty")
+    points = PolarSpec.classic(2, 1, 1, [circle], ConstMatrix(K, [[1, 0]]))
+    assert polar_singular_dim(points, polar_ideal(points)) == (-1, "radical")
+    curve = PolarSpec.classic(3, 1, 1, [sphere],
+                              ConstMatrix(K, [[1, 0, 0], [0, 1, 0]]))
+    R = polar_ideal(curve)
+    assert polar_singular_dim(curve, R) == (-1, "jacobian")
+    # past the minor cap the rank-degeneracy proxy answers
+    assert polar_singular_dim(curve, R, cap=1) == (delta_ideal(curve).dim, "delta")
+    with pytest.raises(BudgetExceededError):
+        polar_singular_dim(points, polar_ideal(points), GBLimits(max_pairs=3))
 
 
 def test_singular_locus_dim_preconditions(K):
