@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Replication of the random-quadric experiment at desk scale.
 
-For every triple (n, p, i) with n <= 5 the harness draws verified-smooth
-random quadrics and a random full-rank matrix, builds the classic polar
-ideal, and measures the dimension of its singular locus.  The observed
+For every (n, p) with n <= 5 the harness draws verified-smooth random
+quadrics and one random full-rank matrix; for each polar index i it builds
+the classic polar ideal from the top n - p - i + 1 rows of that matrix and
+measures the dimension of its singular locus.  The observed
 value is -1 for hypersurfaces and max{-1, n - p - (2i+2)} otherwise; the
 first genuinely singular cells appear at n = 6, where the rank-degeneracy
 proxy confirms a zero-dimensional singular locus for (6, 2, 1).

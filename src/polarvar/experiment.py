@@ -1,13 +1,13 @@
 """Grid replication of the singular-locus dimension experiment.
 
-For each parameter triple (n, p, i) the cell procedure draws dense random
-quadrics with uniform coefficients, re-drawing (bounded) until they form a
-verified smooth complete intersection, draws one random full-rank
-(n-p) x n matrix whose top n - p - i + 1 rows feed the construction (so
-results across i share one matrix), builds the polar ideal, and measures
-the dimension of its singular locus either exactly (the radical test for a
-zero-dimensional polar variety, the Jacobian criterion otherwise) or
-through the rank-degeneracy proxy.
+For each (n, p, seed) the experiment draws dense random quadrics with
+uniform coefficients and one random full-rank (n-p) x n matrix, redrawing
+(at most REDRAW_BUDGET times) until the quadrics form a verified smooth
+complete intersection.  The draw and its check are memoised, so the cells
+for every polar index i share them; cell i feeds the top n - p - i + 1
+rows of the matrix to the polar ideal and measures the dimension of its
+singular locus exactly (the radical test for a zero-dimensional polar
+variety, the Jacobian criterion otherwise) or by the degeneracy proxy.
 
 The observed value is compared against max{-1, n - p - (2i+2)} for p > 1;
 hypersurface cells (p = 1) have empty singular locus and empty degeneracy
@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -30,13 +31,19 @@ from .field import DEFAULT_PRIME, PrimeField
 from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
 from .matrices import ConstMatrix, jacobian
 from .poly import Point, Polynomial
-from .polar import (CLASSIC, DUAL, PolarSpec, delta_ideal, polar_ideal,
-                    polar_singular_dim, verify_smooth_complete_intersection)
+from .polar import (CLASSIC, DUAL, PolarSpec, SmoothnessReport, delta_ideal,
+                    polar_ideal, polar_singular_dim,
+                    verify_smooth_complete_intersection)
 
 MODE_FULL = "full"
 MODE_DELTA = "delta"
 
 _MASK64 = (1 << 64) - 1
+
+REDRAW_BUDGET = 5  # redraws a cell may spend on singular or non-generic draws
+_SYSTEM_ATTEMPTS = 20  # draws random_smooth_system tries
+_DRAW_CACHE_SIZE = 64  # memoised draws; a grid needs REDRAW_BUDGET + 1 at once
+ENUMERATION_LIMIT = 10**7  # largest q^n sample_points_small_field scans
 
 
 def derive_seed(*parts: int) -> int:
@@ -89,6 +96,21 @@ def random_full_rank_matrix(rng: random.Random, field: PrimeField, rows: int,
             return M
 
 
+@lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _smooth_draw(prime: int, n: int, p: int, seed: int, attempt: int,
+                 limits: GBLimits) -> tuple[tuple[Polynomial, ...], ConstMatrix,
+                                            SmoothnessReport]:
+    """Draw number `attempt` for `seed`: p dense quadrics, then a full-rank
+    (n-p) x n matrix, and the smoothness report of the quadrics.  The
+    arguments are every input of the draw, so the memo is exact; a
+    BudgetExceededError propagates and is not memoised."""
+    field = PrimeField(prime)
+    rng = random.Random(derive_seed(seed, attempt))
+    F = tuple(random_dense_poly(rng, field, n) for _ in range(p))
+    a_full = random_full_rank_matrix(rng, field, n - p, n)
+    return F, a_full, verify_smooth_complete_intersection(F, limits)
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One experiment cell: the (n, p, i) triple plus run configuration."""
@@ -100,7 +122,6 @@ class CellSpec:
     prime: int = DEFAULT_PRIME
     seed: int = 0
     mode: str = MODE_FULL
-    redraw_budget: int = 5
 
     def __post_init__(self):
         if not (2 <= self.n and 1 <= self.p <= self.n - 1
@@ -151,7 +172,6 @@ class CellResult:
 
 def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
              minor_cap: int = 20_000) -> CellResult:
-    field = PrimeField(spec.prime)
     n, p, i = spec.n, spec.p, spec.i
     expected = expected_singular_dim(n, p, i)
     start = time.monotonic()
@@ -167,12 +187,10 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
             elapsed_ms=int((time.monotonic() - start) * 1000), sing_route=route)
 
     redraws = 0
-    for attempt in range(spec.redraw_budget + 1):
-        rng = random.Random(derive_seed(spec.seed, attempt))
-        F = [random_dense_poly(rng, field, n) for _ in range(p)]
-        a_full = random_full_rank_matrix(rng, field, n - p, n)
+    for attempt in range(REDRAW_BUDGET + 1):
         try:
-            report = verify_smooth_complete_intersection(F, limits)
+            F, a_full, report = _smooth_draw(spec.prime, n, p, spec.seed,
+                                             attempt, limits)
         except BudgetExceededError:
             return finish("skipped", redraws=redraws)
         if not report.ok:
@@ -223,15 +241,17 @@ def run_grid(nmax: int, seeds: int = 1, mode: str = MODE_FULL,
              minor_cap: int = 20_000) -> list[CellResult]:
     """All triples up to nmax, `seeds` independent draws each; the quadric
     system and matrix derive from (master, n, p, seed index) only, so cells
-    that differ in i alone share them."""
+    that differ in i alone share them.  The cells of one draw run back to
+    back, i innermost; results come out sorted by (n, p, i, seed)."""
     results = []
-    for (n, p, i), k in product(grid_triples(nmax), range(seeds)):
-        if p_max is not None and p > p_max:
-            continue
-        cell_seed = derive_seed(master_seed, n, p, k)
-        spec = CellSpec(n=n, p=p, i=i, flavor=flavor, prime=prime,
-                        seed=cell_seed, mode=mode)
-        results.append(run_cell(spec, limits, minor_cap=minor_cap))
+    for n in range(2, nmax + 1):
+        for p in range(1, n if p_max is None else min(n, p_max + 1)):
+            for k in range(seeds):
+                cell_seed = derive_seed(master_seed, n, p, k)
+                for i in range(1, n - p + 1):
+                    spec = CellSpec(n=n, p=p, i=i, flavor=flavor, prime=prime,
+                                    seed=cell_seed, mode=mode)
+                    results.append(run_cell(spec, limits, minor_cap=minor_cap))
     results.sort(key=lambda r: (r.n, r.p, r.i, r.seed))
     return results
 
@@ -261,17 +281,16 @@ class SamplePointsResult:
     complete: bool
 
 
-def sample_points_small_field(F: Sequence[Polynomial], cap: int = 100_000,
-                              enumeration_limit: int = 10**7,
-                              sample_budget: int = 200_000,
-                              rng: random.Random | None = None
-                              ) -> SamplePointsResult:
-    """Points of V(F) over a small field, tagged regular/singular by the
-    Jacobian rank; exhaustive when q^n is small enough, otherwise rejection
-    sampling up to `cap` points."""
+def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
+    """All points of V(F) over a small field, in lexicographic order, tagged
+    regular/singular by the Jacobian rank; raises ValueError when the q^n
+    points of the ambient space exceed ENUMERATION_LIMIT."""
     F = list(F)
     field, n = F[0].field, F[0].n
     q = field.q
+    if q**n > ENUMERATION_LIMIT:
+        raise ValueError(f"{q}^{n} points exceed the enumeration limit "
+                         f"{ENUMERATION_LIMIT}")
     p = len(F)
     J = jacobian(F)
     fast = [list(f.terms.items()) for f in F]
@@ -289,51 +308,17 @@ def sample_points_small_field(F: Sequence[Polynomial], cap: int = 100_000,
                 return False
         return True
 
-    found: list[tuple[Point, bool]] = []
-    if q**n <= enumeration_limit:
-        idx = [0] * n
-        while True:
-            x = tuple(idx)
-            if on_variety(x):
-                pt = Point(field, x)
-                regular = J.evaluate(x).rank() == p
-                found.append((pt, regular))
-                if len(found) >= cap:
-                    return SamplePointsResult(tuple(found), True, False)
-            k = n - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < q:
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                break
-        return SamplePointsResult(tuple(found), True, True)
-    if rng is None:
-        rng = random.Random(0)
-    seen: set[tuple[int, ...]] = set()
-    for _ in range(sample_budget):
-        x = tuple(rng.randrange(q) for _ in range(n))
-        if x in seen:
-            continue
-        seen.add(x)
-        if on_variety(x):
-            pt = Point(field, x)
-            found.append((pt, J.evaluate(x).rank() == p))
-            if len(found) >= cap:
-                return SamplePointsResult(tuple(found), False, False)
-    return SamplePointsResult(tuple(found), False, False)
+    found = tuple((Point(field, x), J.evaluate(x).rank() == p)
+                  for x in product(range(q), repeat=n) if on_variety(x))
+    return SamplePointsResult(found, True, True)
 
 
-def random_smooth_system(field: PrimeField, n: int, p: int, seed: int,
-                         max_attempts: int = 20,
-                         limits: GBLimits = DEFAULT_LIMITS) -> list[Polynomial]:
-    """Dense random quadrics redrawn until verified smooth; convenience for
-    demos and family-level checks."""
-    for attempt in range(max_attempts):
-        rng = random.Random(derive_seed(seed, attempt))
-        F = [random_dense_poly(rng, field, n) for _ in range(p)]
-        if verify_smooth_complete_intersection(F, limits).ok:
-            return F
-    raise RuntimeError(f"no smooth system found in {max_attempts} attempts")
+def random_smooth_system(field: PrimeField, n: int, p: int,
+                         seed: int) -> list[Polynomial]:
+    """The quadrics of the first verified smooth draw for `seed`, drawn as
+    run_cell draws them; convenience for demos and family-level checks."""
+    for attempt in range(_SYSTEM_ATTEMPTS):
+        F, _, report = _smooth_draw(field.q, n, p, seed, attempt, DEFAULT_LIMITS)
+        if report.ok:
+            return list(F)
+    raise RuntimeError(f"no smooth system found in {_SYSTEM_ATTEMPTS} attempts")

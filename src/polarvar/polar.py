@@ -229,16 +229,15 @@ def singular_locus_generators(generators: Sequence[Polynomial], c: int,
     return list(gens) + list(enumerate_minors(J, c))
 
 
-def singular_locus_ideal(result: PolarIdealResult, c: int,
+def singular_locus_ideal(result: PolarIdealResult,
                          limits: GBLimits = DEFAULT_LIMITS,
                          cap: int = DEFAULT_MINOR_CAP) -> PolarIdealResult:
     """Singular locus of the variety behind `result` via the Jacobian
-    criterion at codimension c = n - dim."""
+    criterion at its codimension n - dim."""
     if result.dim < 0:
         raise PolarSpecError("singular locus of an empty variety is undefined")
-    if c != result.n - result.dim:
-        raise PolarSpecError(f"expected codimension {result.n - result.dim}, got {c}")
-    gens = singular_locus_generators(result.ideal.generators, c, cap)
+    gens = singular_locus_generators(result.ideal.generators,
+                                     result.n - result.dim, cap)
     # seeding the presentation with the reduced basis leaves the ideal
     # unchanged and lets the minors reduce against interreduced elements
     seeded = list(result.gb.basis) + gens
@@ -258,7 +257,7 @@ def singular_locus_dim(result: PolarIdealResult,
     reduced basis (-1 when radical, 0 otherwise); positive dimensions go
     through singular_locus_ideal."""
     if result.dim != 0:
-        sing = singular_locus_ideal(result, result.n - result.dim, limits, cap)
+        sing = singular_locus_ideal(result, limits, cap)
         return sing.dim, "jacobian"
     _check_minor_count(result.ideal.generators, result.n, cap)
     return (-1 if is_radical_zero_dim(result.gb, limits) else 0), "radical"
@@ -346,9 +345,12 @@ def thom_boardman_class(F: Sequence[Polynomial], a: ConstMatrix, x) -> int:
 def incidence_fiber_dim(F: Sequence[Polynomial], a: ConstMatrix, x, i: int) -> int:
     """Projective dimension of the multiplier fiber over x; -1 when empty.
 
-    Equals thom_boardman_class(x) - i: the fiber solves J(x)^T lambda^T +
+    For 1 <= i <= n - p and an (n-p-i+1) x n matrix a this equals
+    thom_boardman_class(x) - i: the fiber solves J(x)^T lambda^T +
     a^T theta^T = 0 projectively, and the solution space has dimension
-    (n - i + 1) - rank([J(x)^T | a^T]) - 1.
+    (n - i + 1) - rank([J(x)^T | a^T]) - 1.  Any other i or row count
+    raises PolarSpecError.
     """
+    PolarSpec.classic(F[0].n, len(F), i, F, a, strict=False)  # shape checks
     j = thom_boardman_class(F, a, x)
     return j - i

@@ -1,6 +1,10 @@
 """Command-line surface: routing, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,36 @@ def test_tb_and_fiber(tmp_path, capsys):
     assert dispatch(["fiber", "--system", str(system), "--matrix", str(matrix),
                      "--point", "0,0,1", "--i", "1"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "-1"
+
+
+@pytest.mark.parametrize("rows, i", [("[[1,0,0],[0,1,0]]", 0),
+                                     ("[[1,0,0],[0,1,0]]", 3),
+                                     ("[[1,0,0]]", 1)])
+def test_fiber_rejects_wrong_index_or_row_count(tmp_path, capsys, rows, i):
+    # the sphere has n - p = 2: i runs over 1..2 with 3 - i matrix rows
+    system = tmp_path / "sphere.txt"
+    system.write_text("x1^2+x2^2+x3^2-1\n")
+    matrix = tmp_path / "a.json"
+    matrix.write_text(rows)
+    assert dispatch(["fiber", "--system", str(system), "--matrix", str(matrix),
+                     "--point", "0,0,1", "--i", str(i)]) == EXIT_INPUT
+    assert capsys.readouterr().out == ""
+
+
+def test_experiment_bytes_do_not_depend_on_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarvar.cli", "experiment", "--nmax", "4",
+             "--seeds", "1", "--json"], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 10
 
 
 def test_point_off_variety_is_an_input_error(tmp_path, capsys):

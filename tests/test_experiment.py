@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from polarvar import experiment
 from polarvar.experiment import (CellSpec, derive_seed,
                                  expected_singular_dim, grid_triples,
                                  random_dense_poly, random_full_rank_matrix,
@@ -128,6 +129,36 @@ def test_random_smooth_system_verifies(K):
     from polarvar.polar import verify_smooth_complete_intersection
     F = random_smooth_system(K, 3, 2, seed=8)
     assert verify_smooth_complete_intersection(F).ok
+    # the quadrics come first in the draw, so the matrix drawn after them
+    # does not move them
+    rng = random.Random(derive_seed(8, 0))
+    assert F == [random_dense_poly(rng, K, 3) for _ in range(2)]
+
+
+def test_grid_draws_and_verifies_each_system_once(monkeypatch):
+    calls = []
+    inner = experiment.verify_smooth_complete_intersection
+
+    def counting(F, limits):
+        calls.append(len(F))
+        return inner(F, limits)
+
+    monkeypatch.setattr(experiment, "verify_smooth_complete_intersection",
+                        counting)
+    experiment._smooth_draw.cache_clear()
+    results = run_grid(4, seeds=2, master_seed=77)
+    draws = {}
+    for r in results:
+        key = (r.n, r.p, r.seed)
+        draws[key] = max(draws.get(key, 0), r.redraws_used + 1)
+    assert len(calls) == sum(draws.values())
+    assert len(draws) == 12 and len(results) == 20
+
+
+def test_point_enumeration_refuses_large_spaces(K):
+    # q^2 is far beyond the enumeration limit at the default prime
+    with pytest.raises(ValueError):
+        sample_points_small_field([parse_polynomial("x1^2+x2^2-1", 2, K)])
 
 
 def test_full_and_delta_modes_agree(K):

@@ -158,20 +158,17 @@ def test_pure_codimension_on_random_instances(K):
 
 def test_singular_locus_classic_examples(K, circle):
     cross = analyze_ideal(K, 2, 1, [P("x1*x2", 2, K)])
-    assert singular_locus_ideal(cross, 1).dim == 0
+    assert singular_locus_ideal(cross).dim == 0
     cusp = analyze_ideal(K, 2, 1, [P("x2^2-x1^3", 2, K)])
-    assert singular_locus_ideal(cusp, 1).dim == 0
+    assert singular_locus_ideal(cusp).dim == 0
     smooth = analyze_ideal(K, 2, 1, [circle])
-    assert singular_locus_ideal(smooth, 1).dim == -1
+    assert singular_locus_ideal(smooth).dim == -1
 
 
-def test_singular_locus_preconditions(K, circle):
-    R = analyze_ideal(K, 2, 1, [circle])
-    with pytest.raises(PolarSpecError):
-        singular_locus_ideal(R, 2)  # wrong codimension
+def test_singular_locus_preconditions(K):
     empty = analyze_ideal(K, 1, 1, [P("x1", 1, K), P("x1+1", 1, K)])
     with pytest.raises(PolarSpecError):
-        singular_locus_ideal(empty, 1)
+        singular_locus_ideal(empty)
 
 
 def test_minor_cap_triggers_explicit_error(K):
@@ -183,7 +180,7 @@ def test_minor_cap_triggers_explicit_error(K):
 
 def both_routes(R):
     """dim sing by singular_locus_dim and by the Jacobian criterion."""
-    return singular_locus_dim(R)[0], singular_locus_ideal(R, R.n - R.dim).dim
+    return singular_locus_dim(R)[0], singular_locus_ideal(R).dim
 
 
 @pytest.mark.parametrize("field_q, texts, want", [
@@ -319,8 +316,19 @@ def test_incidence_fiber_dimensions(K, sphere):
 
 
 def test_fiber_equals_class_minus_index_everywhere(K, sphere):
-    a = ConstMatrix(K, [[1, 0, 0], [0, 1, 0]])
+    # polar index i takes the top n-p-i+1 rows of one matrix
+    a_full = ConstMatrix(K, [[1, 0, 0], [0, 1, 0]])
     for x in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
-        j = thom_boardman_class([sphere], a, x)
         for i in (1, 2):
+            a = a_full.submatrix(range(3 - i), range(3))
+            j = thom_boardman_class([sphere], a, x)
             assert incidence_fiber_dim([sphere], a, x, i) == j - i
+
+
+def test_fiber_rejects_wrong_index_or_row_count(K, sphere):
+    two_rows = ConstMatrix(K, [[1, 0, 0], [0, 1, 0]])
+    one_row = ConstMatrix(K, [[1, 0, 0]])
+    for a, i in ((two_rows, 2), (one_row, 1), (one_row, 7), (two_rows, 0),
+                 (one_row, 3)):
+        with pytest.raises(PolarSpecError):
+            incidence_fiber_dim([sphere], a, [0, 0, 1], i)
