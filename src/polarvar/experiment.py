@@ -24,12 +24,11 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 from .field import DEFAULT_PRIME, PrimeField
 from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
-from .matrices import ConstMatrix, jacobian
+from .matrices import ConstMatrix, jacobian_at, system_ring
 from .poly import Point, Polynomial
 from .polar import (CLASSIC, DUAL, PolarSpec, SmoothnessReport, delta_ideal,
                     polar_ideal, polar_singular_dim,
@@ -281,36 +280,71 @@ class SamplePointsResult:
     complete: bool
 
 
+def _substitution_plans(f: Polynomial
+                        ) -> tuple[list[int], list[tuple[list[tuple[int, int]], int]]]:
+    """f as a coefficient vector over its monomials, and how substituting
+    x_{k+1} = v maps its terms over x_{k+1..n} onto its terms over
+    x_{k+2..n}, for k = 0..n-1.
+
+    At level k the terms are the distinct suffixes m[k:] of f's monomials
+    in sorted order, so the constant one comes first (index 0).  Plan k pairs each level-k suffix s
+    with (exponent of x_{k+1} in s, index of s[1:] at level k + 1), and
+    comes with the size of level k + 1."""
+    levels = [sorted({m[k:] for m in f.terms} | {(0,) * (f.n - k)})
+              for k in range(f.n + 1)]
+    plans = []
+    for k in range(f.n):
+        index = {s: d for d, s in enumerate(levels[k + 1])}
+        plans.append(([(s[0], index[s[1:]]) for s in levels[k]],
+                      len(levels[k + 1])))
+    return [f.terms.get(m, 0) for m in levels[0]], plans
+
+
 def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
     """All points of V(F) over a small field, in lexicographic order, tagged
-    regular/singular by the Jacobian rank; raises ValueError when the q^n
-    points of the ambient space exceed ENUMERATION_LIMIT."""
+    regular/singular by the rank of jacobian_at.
+
+    The scan substitutes x1 = 0..q-1 into the term vectors of every F_k,
+    then x2, and so on, reading values from one table of residue powers; a
+    branch ends as soon as a substituted F_k is a nonzero constant, so no
+    point is evaluated from scratch.  Raises ValueError when F is empty,
+    mixes rings or has no variables, and when the q^n points of the ambient
+    space exceed ENUMERATION_LIMIT."""
     F = list(F)
-    field, n = F[0].field, F[0].n
+    field, n = system_ring(F)
     q = field.q
     if q**n > ENUMERATION_LIMIT:
         raise ValueError(f"{q}^{n} points exceed the enumeration limit "
                          f"{ENUMERATION_LIMIT}")
     p = len(F)
-    J = jacobian(F)
-    fast = [list(f.terms.items()) for f in F]
+    top = max(max(map(max, f.terms), default=0) for f in F)
+    powers = [[pow(v, e, q) for e in range(top + 1)] for v in range(q)]
+    vectors, plans = zip(*map(_substitution_plans, F))
+    found: list[tuple[Point, bool]] = []
 
-    def on_variety(x: tuple[int, ...]) -> bool:
-        for terms in fast:
-            total = 0
-            for m, c in terms:
-                v = c
-                for j, e in enumerate(m):
-                    if e:
-                        v = v * pow(x[j], e, q) % q
-                total = (total + v) % q
-            if total:
-                return False
-        return True
+    def scan(k: int, vectors, prefix: tuple[int, ...]) -> None:
+        if k == n:
+            found.append((Point(field, prefix),
+                          jacobian_at(F, prefix).rank() == p))
+            return
+        level = [plan[k] for plan in plans]
+        for v in range(q):
+            pv = powers[v]
+            substituted = []
+            for (plan, size), vec in zip(level, vectors):
+                acc = [0] * size
+                for (e, d), c in zip(plan, vec):
+                    if c:
+                        acc[d] += c * pv[e]
+                acc = [c % q for c in acc]
+                if acc[0] and not any(acc[1:]):
+                    break  # a nonzero constant: no point below this prefix
+                substituted.append(acc)
+            else:
+                scan(k + 1, substituted, prefix + (v,))
 
-    found = tuple((Point(field, x), J.evaluate(x).rank() == p)
-                  for x in product(range(q), repeat=n) if on_variety(x))
-    return SamplePointsResult(found, True, True)
+    scan(0, vectors, ())
+    return SamplePointsResult(tuple(found), True, True)
 
 
 def random_smooth_system(field: PrimeField, n: int, p: int,

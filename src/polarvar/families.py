@@ -31,7 +31,7 @@ from .groebner import (DEFAULT_LIMITS, GBLimits, IdealPresentation,
                        localize_rabinowitsch, normal_form)
 from .experiment import random_full_rank_matrix
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
-                       jacobian)
+                       jacobian, jacobian_at)
 from .poly import Point, Polynomial, differentiate, evaluate
 from .polar import (CLASSIC, PolarIdealResult, PolarSpec, PolarSpecError,
                     analyze_ideal, polar_generators,
@@ -203,8 +203,8 @@ def verify_singular_witness(inst: Family31Instance) -> WitnessReport:
     if not identity_ok:
         failures.append("cofactor form of the determinant derivative fails")
 
-    J3 = jacobian([inst.F1, inst.F2, detN]).evaluate(xi)
-    J2 = jacobian([inst.F1, inst.F2]).evaluate(xi)
+    J3 = jacobian_at([inst.F1, inst.F2, detN], xi)
+    J2 = jacobian_at([inst.F1, inst.F2], xi)
     rank3 = J3.rank()
     rank_ok = rank3 == 2 and J2.rank() == 2
     if not rank_ok:

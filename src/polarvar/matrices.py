@@ -1,10 +1,10 @@
 """Matrices with polynomial or constant entries.
 
 Covers the linear-algebra layer the polar constructions sit on: Jacobian
-assembly, division-free symbolic determinants and streaming minor
-enumeration (both by one memoised Laplace expansion, minors in a fixed
-lexicographic subset order), and numeric rank of an evaluated matrix via
-Gaussian elimination over the prime field.
+assembly and evaluation at a point, division-free symbolic determinants and
+streaming minor enumeration (both by one memoised Laplace expansion, minors
+in a fixed lexicographic subset order), and numeric rank of an evaluated
+matrix via Gaussian elimination over the prime field.
 """
 
 from __future__ import annotations
@@ -213,12 +213,49 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols}, n={self.n}, q={self.field.q})"
 
 
+def system_ring(F: Sequence[Polynomial]) -> tuple[PrimeField, int]:
+    """The field and variable count shared by the polynomials of F; raises
+    ValueError when F is empty, mixes rings or has no variables."""
+    if not F:
+        raise ValueError("empty system")
+    field, n = F[0].field, F[0].n
+    if any(f.field != field or f.n != n for f in F):
+        raise ValueError("polynomials live in different ambient rings")
+    if n == 0:
+        raise ValueError("system has no variables")
+    return field, n
+
+
 def jacobian(F: Sequence[Polynomial]) -> PolyMatrix:
     """The p x n matrix of partials, row k the gradient of F_k."""
-    if not F:
-        raise ValueError("jacobian of an empty system")
-    n = F[0].n
+    n = system_ring(F)[1]
     return PolyMatrix([[differentiate(f, j) for j in range(1, n + 1)] for f in F])
+
+
+def jacobian_at(F: Sequence[Polynomial], x: Point | Sequence[int]) -> ConstMatrix:
+    """jacobian(F) evaluated at x, read off the terms of each F_k without
+    building the partials: the term c * x^m adds c * m_j * x^m / x_j to
+    entry j.  One table of coordinate powers serves every term."""
+    field, n = system_ring(F)
+    coords = as_coordinates(field, x)
+    if len(coords) != n:
+        raise ValueError(f"point has {len(coords)} coordinates, ambient n={n}")
+    q = field.q
+    top = max(max(map(max, f.terms), default=0) for f in F)
+    powers = [[pow(v, e, q) for e in range(top + 1)] for v in coords]
+    rows = []
+    for f in F:
+        row = [0] * n
+        for m, c in f.terms.items():
+            support = [(j, e) for j, e in enumerate(m) if e]
+            for j, e in support:
+                v = c * e * powers[j][e - 1]
+                for k, ek in support:
+                    if k != j:
+                        v *= powers[k][ek]
+                row[j] += v
+        rows.append(row)
+    return ConstMatrix(field, rows)
 
 
 MAX_DET_SIZE = 12

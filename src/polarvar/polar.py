@@ -28,7 +28,8 @@ from .field import PrimeField
 from .groebner import (DEFAULT_LIMITS, GBLimits, GroebnerBasis, IdealPresentation,
                        degree, dimension, is_radical_zero_dim,
                        reduced_groebner_basis)
-from .matrices import ConstMatrix, PolyMatrix, enumerate_minors, jacobian
+from .matrices import (ConstMatrix, PolyMatrix, enumerate_minors, jacobian,
+                       jacobian_at, system_ring)
 from .poly import Polynomial, as_coordinates, evaluate
 
 CLASSIC = "classic"
@@ -319,26 +320,24 @@ def verify_smooth_complete_intersection(F: Sequence[Polynomial],
                             prefix_dims=tuple(prefix_dims))
 
 
-def _require_regular_point(F: Sequence[Polynomial], x) -> tuple[int, ConstMatrix]:
-    field = F[0].field
-    coords = as_coordinates(field, x)
-    for f in F:
-        if evaluate(f, coords):
-            raise PointClassificationError("point does not lie on the variety")
-    Jx = jacobian(F).evaluate(coords)
-    if Jx.rank() != len(F):
-        raise PointClassificationError("point is singular on the variety")
-    return len(F), Jx
-
-
 def thom_boardman_class(F: Sequence[Polynomial], a: ConstMatrix, x) -> int:
     """Kernel dimension j of the projection differential at a regular point:
-    j = n - rank of the evaluated stack [J(F)(x); a]."""
-    p, Jx = _require_regular_point(F, x)
-    n = F[0].n
+    j = n - rank of the evaluated stack [J(F)(x); a].  Raises
+    PointClassificationError when x is off V(F) or singular on it."""
+    if not F:
+        raise PolarSpecError("empty system")
+    field, n = system_ring(F)
     if a.cols != n:
         raise PolarSpecError("matrix must have one column per variable")
-    stacked = ConstMatrix(a.field, list(Jx.entries) + list(a.entries))
+    if a.field != field:
+        raise PolarSpecError("matrix lives in a different field than the system")
+    coords = as_coordinates(field, x)
+    if any(evaluate(f, coords) for f in F):
+        raise PointClassificationError("point does not lie on the variety")
+    Jx = jacobian_at(F, coords)
+    if Jx.rank() != len(F):
+        raise PointClassificationError("point is singular on the variety")
+    stacked = ConstMatrix(field, list(Jx.entries) + list(a.entries))
     return n - stacked.rank()
 
 
@@ -348,9 +347,9 @@ def incidence_fiber_dim(F: Sequence[Polynomial], a: ConstMatrix, x, i: int) -> i
     For 1 <= i <= n - p and an (n-p-i+1) x n matrix a this equals
     thom_boardman_class(x) - i: the fiber solves J(x)^T lambda^T +
     a^T theta^T = 0 projectively, and the solution space has dimension
-    (n - i + 1) - rank([J(x)^T | a^T]) - 1.  Any other i or row count
-    raises PolarSpecError.
+    (n - i + 1) - rank([J(x)^T | a^T]) - 1.  Any other i or row count, and
+    an empty F, raise PolarSpecError.
     """
-    PolarSpec.classic(F[0].n, len(F), i, F, a, strict=False)  # shape checks
+    PolarSpec.classic(a.cols, len(F), i, F, a, strict=False)  # shape checks
     j = thom_boardman_class(F, a, x)
     return j - i

@@ -1,6 +1,7 @@
 """Experiment harness: seeding, cell runs, grids, point sampling."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -10,9 +11,13 @@ from polarvar.experiment import (CellSpec, derive_seed,
                                  random_dense_poly, random_full_rank_matrix,
                                  run_cell, run_grid, sample_points_small_field,
                                  random_smooth_system, summarize_grid)
+from polarvar.field import PrimeField
 from polarvar.groebner import GBLimits
+from polarvar.matrices import jacobian
 from polarvar.parsing import parse_polynomial
-from polarvar.poly import evaluate
+from polarvar.poly import Polynomial, evaluate
+
+from conftest import naive_evaluate, random_poly
 
 
 def test_derive_seed_is_deterministic_and_spread():
@@ -153,6 +158,64 @@ def test_grid_draws_and_verifies_each_system_once(monkeypatch):
         draws[key] = max(draws.get(key, 0), r.redraws_used + 1)
     assert len(calls) == sum(draws.values())
     assert len(draws) == 12 and len(results) == 20
+
+
+def brute_force_points(F):
+    """Every point of F_q^n in product order, evaluated term by term, with
+    the rank of the symbolic Jacobian evaluated there."""
+    field, n = F[0].field, F[0].n
+    J = jacobian(F)
+    return [(x, J.evaluate(x).rank() == len(F))
+            for x in product(range(field.q), repeat=n)
+            if all(naive_evaluate(f, x) == 0 for f in F)]
+
+
+def oracle_systems():
+    """Random systems over F_5 and F_7 for n = 1..4 and p = 1..3, each
+    shifted to vanish at a random point; then a cubic, a constant and the
+    zero polynomial."""
+    rng = random.Random(2024)
+    for q in (5, 7):
+        field = PrimeField(q)
+        for n in range(1, 5):
+            for p in range(1, 4):
+                for _ in range(2):
+                    x0 = [rng.randrange(q) for _ in range(n)]
+                    F = []
+                    for _ in range(p):
+                        f = random_poly(rng, field, n, max_degree=3, terms=4)
+                        F.append(f - Polynomial.constant(
+                            field, n, naive_evaluate(f, x0)))
+                    yield F
+        yield [parse_polynomial("x1^3 - x2^2 + x3*x1 - 2", 3, field)]
+        yield [parse_polynomial("x1*x2 - 1", 2, field),
+               Polynomial.constant(field, 2, 3)]
+        yield [parse_polynomial("x1^2 + x2^2 - x3", 3, field),
+               Polynomial.zero(field, 3)]
+        yield [Polynomial.zero(field, 2)]
+
+
+def test_point_scan_matches_brute_force():
+    cases = 0
+    for F in oracle_systems():
+        out = sample_points_small_field(F)
+        got = [(pt.coordinates, regular) for pt, regular in out.points]
+        assert got == brute_force_points(F), [str(f) for f in F]
+        cases += 1
+    assert cases == 2 * (4 * 3 * 2 + 4)
+
+
+def test_point_scan_rejects_bad_systems(F7, K):
+    with pytest.raises(ValueError, match="empty system"):
+        sample_points_small_field([])
+    with pytest.raises(ValueError):  # two variable counts
+        sample_points_small_field([parse_polynomial("x1", 1, F7),
+                                   parse_polynomial("x1", 2, F7)])
+    with pytest.raises(ValueError):  # two fields
+        sample_points_small_field([parse_polynomial("x1", 1, F7),
+                                   parse_polynomial("x1", 1, PrimeField(5))])
+    with pytest.raises(ValueError, match="no variables"):
+        sample_points_small_field([Polynomial.constant(F7, 0, 1)])
 
 
 def test_point_enumeration_refuses_large_spaces(K):

@@ -7,7 +7,8 @@ import pytest
 
 from polarvar.matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
                                MAX_DET_SIZE, enumerate_minors, jacobian,
-                               minor_count, stack_jacobian_const)
+                               jacobian_at, minor_count, stack_jacobian_const)
+from polarvar.field import PrimeField
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial, differentiate, evaluate
 
@@ -51,6 +52,58 @@ def test_jacobian_entries_match_partials(K):
 def test_jacobian_rejects_empty_input():
     with pytest.raises(ValueError):
         jacobian([])
+
+
+def test_jacobian_at_matches_evaluated_jacobian_property(F7):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def systems(draw):
+        # exponents up to 9 exceed q = 7, so exponents that vanish mod q
+        # after differentiation are exercised too
+        n = draw(st.integers(1, 4))
+        monomial = st.tuples(*[st.integers(0, 9)] * n)
+        term = st.tuples(monomial, st.integers(0, 6))
+        F = [Polynomial(F7, n, dict(draw(st.lists(term, max_size=6))))
+             for _ in range(draw(st.integers(1, 3)))]
+        x = draw(st.tuples(*[st.integers(0, 6)] * n))
+        return F, x
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(systems())
+    def check(case):
+        F, x = case
+        assert jacobian_at(F, x) == jacobian(F).evaluate(x)
+
+    check()
+
+
+def test_jacobian_at_of_a_dense_cubic_at_the_default_prime(K):
+    rng = random.Random(5)
+    F = [random_poly(rng, K, 4, max_degree=3, terms=12) for _ in range(3)]
+    for _ in range(5):
+        x = [rng.randrange(K.q) for _ in range(4)]
+        assert jacobian_at(F, x) == jacobian(F).evaluate(x)
+
+
+def test_jacobian_at_rejects_bad_input(K):
+    circle = P("x1^2+x2^2-1", 2, K)
+    with pytest.raises(ValueError):
+        jacobian_at([], [1, 0])
+    with pytest.raises(ValueError):  # two variable counts
+        jacobian_at([circle, P("x1", 3, K)], [1, 0])
+    with pytest.raises(ValueError):  # two fields
+        jacobian_at([circle, P("x1", 2, PrimeField(7))], [1, 0])
+    with pytest.raises(ValueError, match="no variables"):
+        jacobian_at([Polynomial.constant(K, 0, 1)], [])
+    with pytest.raises(ValueError):  # point of the wrong length
+        jacobian_at([circle], [1, 0, 0])
+    with pytest.raises(ValueError, match="different ambient rings"):
+        jacobian([circle, P("x1", 3, K)])
+    with pytest.raises(ValueError, match="no variables"):
+        jacobian([Polynomial.zero(K, 0)])
 
 
 def test_determinant_of_identity(K):

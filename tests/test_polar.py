@@ -307,6 +307,22 @@ def test_thom_boardman_rejects_singular_points(K):
         thom_boardman_class([cross], a, [0, 0])
 
 
+def test_thom_boardman_rejects_empty_systems(K):
+    a = ConstMatrix(K, [[1, 0]])
+    with pytest.raises(PolarSpecError):
+        thom_boardman_class([], a, [1, 0])
+    with pytest.raises(PolarSpecError):
+        incidence_fiber_dim([], a, [1, 0], 1)
+
+
+def test_thom_boardman_rejects_a_matrix_over_another_field(F7):
+    circle = P("x1^2+x2^2-1", 2, F7)
+    assert thom_boardman_class([circle], ConstMatrix(F7, [[1, 0]]), [1, 0]) == 1
+    with pytest.raises(PolarSpecError):
+        thom_boardman_class([circle], ConstMatrix(PrimeField(5), [[1, 0]]),
+                            [1, 0])
+
+
 def test_incidence_fiber_dimensions(K, sphere):
     a = ConstMatrix(K, [[1, 0, 0], [0, 1, 0]])
     assert incidence_fiber_dim([sphere], a, [1, 0, 0], 1) == 0
