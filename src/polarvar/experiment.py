@@ -317,7 +317,7 @@ def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
         raise ValueError(f"{q}^{n} points exceed the enumeration limit "
                          f"{ENUMERATION_LIMIT}")
     p = len(F)
-    top = max(max(map(max, f.terms), default=0) for f in F)
+    top = max(f.total_degree() for f in F)
     powers = [[pow(v, e, q) for e in range(top + 1)] for v in range(q)]
     vectors, plans = zip(*map(_substitution_plans, F))
     found: list[tuple[Point, bool]] = []

@@ -241,7 +241,7 @@ def jacobian_at(F: Sequence[Polynomial], x: Point | Sequence[int]) -> ConstMatri
     if len(coords) != n:
         raise ValueError(f"point has {len(coords)} coordinates, ambient n={n}")
     q = field.q
-    top = max(max(map(max, f.terms), default=0) for f in F)
+    top = max(f.total_degree() for f in F)
     powers = [[pow(v, e, q) for e in range(top + 1)] for v in coords]
     rows = []
     for f in F:
