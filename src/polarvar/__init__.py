@@ -19,11 +19,11 @@ from .groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
                        standard_monomials)
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarIdealResult,
                     PolarSpec, PolarSpecError, PointClassificationError,
-                    SmoothnessReport, delta_generators, delta_ideal,
-                    incidence_fiber_dim, polar_generators, polar_ideal,
-                    polar_singular_dim, polar_stack, singular_locus_dim,
-                    singular_locus_generators, singular_locus_ideal,
-                    thom_boardman_class, verify_smooth_complete_intersection)
+                    SmoothnessReport, delta_ideal, incidence_fiber_dim,
+                    polar_generators, polar_ideal, polar_singular_dim,
+                    polar_stack, singular_locus_dim, singular_locus_generators,
+                    singular_locus_ideal, thom_boardman_class,
+                    verify_smooth_complete_intersection)
 from .families import (ChainReport, DegreeReport, Family31Instance,
                        MeagerMatrixZ, WitnessReport, build_family_31,
                        corner_minor, degree_domination_check, example1_transform,

@@ -65,7 +65,7 @@ def _load_system(path: str, field: PrimeField) -> tuple[list[Polynomial], int]:
 
 def _load_matrix(path: str, field: PrimeField) -> tuple[ConstMatrix, list[int] | None]:
     """Matrix JSON: either a plain array of rows or an object with `rows`
-    and optional `col0`.  Returns (a_star, column0 or None)."""
+    and optional `col0`.  Returns (a, column0 or None)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -101,13 +101,8 @@ def _parse_point(text: str, field: PrimeField, n: int) -> Point:
 
 
 def _polar_spec(args, field: PrimeField, F: list[Polynomial], n: int) -> PolarSpec:
-    a_star, col0 = _load_matrix(args.matrix, field)
-    p = len(F)
-    if args.flavor == CLASSIC:
-        if col0 is not None and any(col0):
-            raise InputError("classic flavor forbids a nonzero col0")
-        return PolarSpec.classic(n, p, args.i, F, a_star)
-    return PolarSpec.dual(n, p, args.i, F, a_star, column0=col0)
+    a, col0 = _load_matrix(args.matrix, field)
+    return PolarSpec(n, len(F), args.i, args.flavor, F, a, col0)
 
 
 def _emit(args, human: str, payload: dict) -> None:

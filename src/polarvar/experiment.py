@@ -195,11 +195,8 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
         if not report.ok:
             redraws += 1
             continue
-        a_star = a_full.submatrix(range(n - p - i + 1), range(n))
-        if spec.flavor == CLASSIC:
-            pspec = PolarSpec.classic(n, p, i, F, a_star)
-        else:
-            pspec = PolarSpec.dual(n, p, i, F, a_star)
+        pspec = PolarSpec(n, p, i, spec.flavor, F,
+                          a_full.submatrix(range(n - p - i + 1), range(n)))
         try:
             result = polar_ideal(pspec, limits)
         except BudgetExceededError:

@@ -60,9 +60,6 @@ class Family31Instance:
     F2: Polynomial
     xi: Point
 
-    def system(self) -> tuple[Polynomial, Polynomial]:
-        return (self.F1, self.F2)
-
     def stacked_matrix(self) -> PolyMatrix:
         """The n x n matrix [J(F1,F2); a]."""
         return jacobian([self.F1, self.F2]).stack(self.a.to_poly_matrix(self.n))
@@ -486,37 +483,25 @@ def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
     rng = random.Random(seed)
     rows = n - p - i + 1
 
-    def polar_degree(spec: PolarSpec) -> int:
+    def polar_degree(a: ConstMatrix, column0: list[int] | None = None) -> int:
+        spec = PolarSpec(n, p, i, flavor, F, a, column0)
         return analyze_ideal(field, n, p, polar_generators(spec), limits).degree
 
-    random_degs = []
-    for _ in range(trials):
-        a = random_full_rank_matrix(rng, field, rows, n)
-        if flavor == CLASSIC:
-            spec = PolarSpec.classic(n, p, i, F, a)
-        else:
-            spec = PolarSpec.dual(n, p, i, F, a)
-        random_degs.append(polar_degree(spec))
+    random_degs = [polar_degree(random_full_rank_matrix(rng, field, rows, n))
+                   for _ in range(trials)]
 
     structured: dict[str, list[int]] = {"transform_rows": [], "gamma_row": []}
     s = parameter_count(n, p)
     for _ in range(structured_draws):
         z = [rng.randrange(field.q) for _ in range(s)]
         B = example1_transform(n, p, i, z, field).B
-        if flavor == CLASSIC:
-            spec = PolarSpec.classic(n, p, i, F, B)
-        else:
-            spec = PolarSpec.dual(n, p, i, F, B)
-        structured["transform_rows"].append(polar_degree(spec))
+        structured["transform_rows"].append(polar_degree(B))
+    # the dual gamma rows carry one offset, on the last row only
+    col0 = None if flavor == CLASSIC else [0] * (rows - 1) + [1]
     for _ in range(structured_draws):
         gamma = [rng.randrange(1, field.q) for _ in range(n)]
         B = example2_matrix(field, n, p, i, gamma)
-        if flavor == CLASSIC:
-            spec = PolarSpec.classic(n, p, i, F, B)
-        else:
-            col0 = [0] * (B.rows - 1) + [1]
-            spec = PolarSpec.dual(n, p, i, F, B, column0=col0)
-        structured["gamma_row"].append(polar_degree(spec))
+        structured["gamma_row"].append(polar_degree(B, col0))
 
     return DegreeReport(n=n, p=p, i=i, flavor=flavor,
                         random_degrees=tuple(random_degs),

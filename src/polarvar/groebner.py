@@ -90,12 +90,6 @@ class GroebnerBasis:
     def contains_one(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero
 
-    def dimension(self) -> int:
-        return dimension(self)
-
-    def degree(self) -> int:
-        return degree(self)
-
     def __repr__(self) -> str:
         return f"GroebnerBasis({len(self.basis)} elements, n={self.n})"
 

@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .field import PrimeField
-from .poly import Point, Polynomial, as_coordinates, differentiate, evaluate
+from .poly import Point, Polynomial, as_coordinates, differentiate
 
 
 class ConstMatrix:
@@ -41,15 +41,9 @@ class ConstMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ConstMatrix":
         return ConstMatrix(self.field,
                            [[self.entries[i][j] for j in col_idx] for i in row_idx])
-
-    def transpose(self) -> "ConstMatrix":
-        return ConstMatrix(self.field, list(zip(*self.entries)))
 
     def matmul(self, other: "ConstMatrix") -> "ConstMatrix":
         if self.cols != other.rows:
@@ -202,13 +196,6 @@ class PolyMatrix:
             raise ValueError("column count mismatch in stack")
         return PolyMatrix(list(self.entries) + list(bottom.entries))
 
-    def evaluate(self, x: Point | Sequence[int]) -> ConstMatrix:
-        coords = as_coordinates(self.field, x)
-        if len(coords) != self.n:
-            raise ValueError(f"point has {len(coords)} coordinates, ambient n={self.n}")
-        return ConstMatrix(self.field,
-                           [[evaluate(p, coords) for p in row] for row in self.entries])
-
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols}, n={self.n}, q={self.field.q})"
 
@@ -332,10 +319,3 @@ def enumerate_minors(M: PolyMatrix, r: int) -> Iterator[Polynomial]:
             yield Polynomial(M.field, M.n, dict(det(row_idx, col_idx)),
                              _clean=True)
 
-
-def stack_jacobian_const(F: Sequence[Polynomial], a: ConstMatrix) -> PolyMatrix:
-    """[J(F); a] with the constant rows lifted to degree-0 polynomials."""
-    J = jacobian(F)
-    if a.cols != J.cols:
-        raise ValueError("constant rows must have one column per variable")
-    return J.stack(a.to_poly_matrix(J.n))

@@ -1,10 +1,11 @@
 """Classic and dual polar varieties of a polynomial complete intersection.
 
-Given F_1..F_p cutting out S in A^n and a full-rank constant matrix a with
-n - p - i + 1 rows, the classic polar ideal adjoins to F all maximal minors
-of the (n-i+1) x n stack of the Jacobian over the rows of a; the dual
-variant replaces row k of a by (a_{k,1} - a_{k,0}*X_1, ..., a_{k,n} -
-a_{k,0}*X_n).  The degeneracy locus one rank lower (all (n-i)-minors of the
+Given F_1..F_p cutting out S in A^n, a full-rank constant (n-p-i+1) x n
+matrix a and offsets a_{k,0}, the polar ideal adjoins to F all maximal
+minors of the (n-i+1) x n stack of the Jacobian over the rows
+(a_{k,1} - a_{k,0}*X_1, ..., a_{k,n} - a_{k,0}*X_n).  Both flavors are this
+one construction: the classic one has zero offsets, the dual one defaults
+to all ones.  The degeneracy locus one rank lower (all (n-i)-minors of the
 same stack) contains every singular point of the polar variety at regular
 points of S, and the Jacobian-criterion machinery below measures both.
 
@@ -12,16 +13,16 @@ singular_locus_dim decides the singular locus of a zero-dimensional
 polar variety W by an exact radical test on its reduced basis (W is
 singular exactly at its non-reduced points); the Jacobian criterion,
 singular_locus_ideal, handles positive dimension and serves as the
-independent oracle for the radical test in the tests.  polar_singular_dim
-adds the policy shared by the experiment and the CLI: an empty W has
-dimension -1, and a Jacobian criterion past the minor cap falls back to
-the rank-degeneracy proxy.
+independent oracle for the radical test in the tests.  Its minor-count cap
+is checked in one place, singular_locus_generators, the only builder of
+Jacobian minors.  polar_singular_dim adds the policy shared by the
+experiment and the CLI: an empty W has dimension -1, and a Jacobian
+criterion past the minor cap falls back to the rank-degeneracy proxy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .field import PrimeField
@@ -29,7 +30,7 @@ from .groebner import (DEFAULT_LIMITS, GBLimits, GroebnerBasis, IdealPresentatio
                        degree, dimension, is_radical_zero_dim,
                        reduced_groebner_basis)
 from .matrices import (ConstMatrix, PolyMatrix, enumerate_minors, jacobian,
-                       jacobian_at, system_ring)
+                       jacobian_at, minor_count, system_ring)
 from .poly import Polynomial, as_coordinates, evaluate
 
 CLASSIC = "classic"
@@ -56,17 +57,21 @@ class MinorCapExceededError(RuntimeError):
 
 
 class PolarSpec:
-    """One polar-variety construction: (n, p, i, flavor, F, a).
+    """One polar-variety construction: (n, p, i, flavor, F, a, column0).
 
-    For the classic flavor `a` is the (n-p-i+1) x n matrix of constant rows;
-    for the dual flavor `a` carries an extra leading column 0 holding the
-    affine offsets a_{k,0} (all ones in the generic dual convention).
+    Both flavors share one matrix format.  `a` is the (n-p-i+1) x n matrix
+    of constant parts and `column0` holds the offsets a_{k,0}; row k of the
+    polar stack is (a_{k,1} - a_{k,0}*X_1, ..., a_{k,n} - a_{k,0}*X_n).  The
+    classic flavor is the case of zero offsets; the dual flavor defaults to
+    all ones, the generic dual convention.  Offsets are reduced mod q, and a
+    classic spec with a nonzero offset is rejected.
     """
 
-    __slots__ = ("n", "p", "i", "flavor", "F", "a")
+    __slots__ = ("n", "p", "i", "flavor", "F", "a", "column0")
 
     def __init__(self, n: int, p: int, i: int, flavor: str,
-                 F: Sequence[Polynomial], a: ConstMatrix, strict: bool = True):
+                 F: Sequence[Polynomial], a: ConstMatrix,
+                 column0: Sequence[int] | None = None, strict: bool = True):
         if not (1 <= p <= n - 1):
             raise PolarSpecError(f"need 1 <= p <= n-1, got p={p}, n={n}")
         if not (1 <= i <= n - p):
@@ -78,49 +83,45 @@ class PolarSpec:
             raise PolarSpecError(f"expected {p} polynomials, got {len(F)}")
         if any(f.n != n for f in F):
             raise PolarSpecError("system ambient count differs from n")
+        if any(f.field != a.field for f in F):
+            raise PolarSpecError("matrix lives in a different field than the system")
         rows = n - p - i + 1
-        want_cols = n if flavor == CLASSIC else n + 1
-        if a.rows != rows or a.cols != want_cols:
+        if a.rows != rows or a.cols != n:
             raise PolarSpecError(
-                f"matrix must be {rows}x{want_cols} for flavor {flavor}, "
-                f"got {a.rows}x{a.cols}")
+                f"matrix must be {rows}x{n}, got {a.rows}x{a.cols}")
+        if column0 is None:
+            column0 = [int(flavor == DUAL)] * rows
+        column0 = tuple(c % a.field.q for c in column0)
+        if len(column0) != rows:
+            raise PolarSpecError("column 0 must have one entry per row")
+        if flavor == CLASSIC and any(column0):
+            raise PolarSpecError("the classic flavor forbids a nonzero column 0")
+        # strict=False admits deliberately degenerate matrices (e.g. the dual
+        # polar variety of a circle about its own center)
+        if strict and a.rank() != rows:
+            raise PolarSpecError("the matrix must have full rank")
         self.n = n
         self.p = p
         self.i = i
         self.flavor = flavor
         self.F = F
         self.a = a
-        # strict=False admits deliberately degenerate matrices (e.g. the dual
-        # polar variety of a circle about its own center)
-        if strict and self.a_star().rank() != rows:
-            raise PolarSpecError("columns 1..n of the matrix must have full rank")
+        self.column0 = column0
 
     @classmethod
     def classic(cls, n: int, p: int, i: int, F: Sequence[Polynomial],
-                a_star: ConstMatrix, strict: bool = True) -> "PolarSpec":
-        return cls(n, p, i, CLASSIC, F, a_star, strict=strict)
+                a: ConstMatrix, strict: bool = True) -> "PolarSpec":
+        return cls(n, p, i, CLASSIC, F, a, strict=strict)
 
     @classmethod
     def dual(cls, n: int, p: int, i: int, F: Sequence[Polynomial],
-             a_star: ConstMatrix, column0: Sequence[int] | None = None,
+             a: ConstMatrix, column0: Sequence[int] | None = None,
              strict: bool = True) -> "PolarSpec":
-        """Dual spec from the star part; column 0 defaults to all ones."""
-        field = a_star.field
-        if column0 is None:
-            column0 = [1] * a_star.rows
-        if len(column0) != a_star.rows:
-            raise PolarSpecError("column 0 must have one entry per row")
-        full = [[c0] + list(row) for c0, row in zip(column0, a_star.entries)]
-        return cls(n, p, i, DUAL, F, ConstMatrix(field, full), strict=strict)
+        return cls(n, p, i, DUAL, F, a, column0, strict)
 
     @property
     def field(self) -> PrimeField:
         return self.a.field
-
-    def a_star(self) -> ConstMatrix:
-        if self.flavor == CLASSIC:
-            return self.a
-        return self.a.submatrix(range(self.a.rows), range(1, self.a.cols))
 
     def __repr__(self) -> str:
         return (f"PolarSpec(n={self.n}, p={self.p}, i={self.i}, "
@@ -139,44 +140,21 @@ class PolarIdealResult:
     n: int
     p: int
 
-    @property
-    def is_empty(self) -> bool:
-        return self.dim < 0
-
 
 def polar_stack(spec: PolarSpec) -> PolyMatrix:
-    """The (n-i+1) x n polynomial matrix [J(F); rows of a]."""
-    J = jacobian(spec.F)
+    """The (n-i+1) x n polynomial matrix [J(F); a_{k,l} - a_{k,0}*X_l]."""
     field, n = spec.field, spec.n
-    if spec.flavor == CLASSIC:
-        bottom = spec.a.to_poly_matrix(n)
-    else:
-        rows = []
-        for k in range(spec.a.rows):
-            a0 = spec.a[k, 0]
-            row = []
-            for l in range(1, n + 1):
-                p = Polynomial.constant(field, n, spec.a[k, l])
-                if a0:
-                    p = p - Polynomial.variable(field, n, l).scale(a0)
-                row.append(p)
-            rows.append(row)
-        bottom = PolyMatrix(rows)
-    return J.stack(bottom)
+    bottom = [[Polynomial.constant(field, n, a_kl)
+               - Polynomial.variable(field, n, l).scale(a0)
+               for l, a_kl in enumerate(row, start=1)]
+              for a0, row in zip(spec.column0, spec.a.entries)]
+    return jacobian(spec.F).stack(PolyMatrix(bottom))
 
 
 def polar_generators(spec: PolarSpec) -> list[Polynomial]:
     """F joined with all (n-i+1)-minors of the polar stack."""
-    stack = polar_stack(spec)
-    r = spec.n - spec.i + 1
-    return list(spec.F) + list(enumerate_minors(stack, r))
-
-
-def delta_generators(spec: PolarSpec) -> list[Polynomial]:
-    """F joined with all (n-i)-minors of the polar stack (rank drop by two)."""
-    stack = polar_stack(spec)
-    r = spec.n - spec.i
-    return list(spec.F) + list(enumerate_minors(stack, r))
+    return list(spec.F) + list(enumerate_minors(polar_stack(spec),
+                                                spec.n - spec.i + 1))
 
 
 def analyze_ideal(field: PrimeField, n: int, p: int,
@@ -197,16 +175,21 @@ def polar_ideal(spec: PolarSpec, limits: GBLimits = DEFAULT_LIMITS) -> PolarIdea
 
 
 def delta_ideal(spec: PolarSpec, limits: GBLimits = DEFAULT_LIMITS) -> PolarIdealResult:
-    return analyze_ideal(spec.field, spec.n, spec.p, delta_generators(spec), limits)
+    """The rank-degeneracy ideal: F joined with all (n-i)-minors of the
+    polar stack, where the stack drops rank by two."""
+    gens = list(spec.F) + list(enumerate_minors(polar_stack(spec), spec.n - spec.i))
+    return analyze_ideal(spec.field, spec.n, spec.p, gens, limits)
 
 
 DEFAULT_MINOR_CAP = 20_000
 
 
-def _check_minor_count(generators: Sequence[Polynomial], c: int,
-                       cap: int) -> list[Polynomial]:
-    """The nonzero generators, once the c-minors of their Jacobian are known
-    to exist and to number at most `cap`."""
+def singular_locus_generators(generators: Sequence[Polynomial], c: int,
+                              cap: int = DEFAULT_MINOR_CAP) -> list[Polynomial]:
+    """Jacobian-criterion generators: the ideal plus all c-minors of its
+    Jacobian; valid for any generating set of an equidimensional radical
+    ideal of codimension c.  Raises MinorCapExceededError, before building
+    any minor, when the c-minors number more than `cap`."""
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         raise PolarSpecError("singular locus of the zero ideal is undefined")
@@ -214,20 +197,11 @@ def _check_minor_count(generators: Sequence[Polynomial], c: int,
     if c < 1 or c > min(len(gens), n):
         raise PolarSpecError(
             f"codimension {c} incompatible with {len(gens)} generators in {n} vars")
-    count = comb(len(gens), c) * comb(n, c)
+    J = jacobian(gens)
+    count = minor_count(J, c)
     if count > cap:
         raise MinorCapExceededError(count, cap)
-    return gens
-
-
-def singular_locus_generators(generators: Sequence[Polynomial], c: int,
-                              cap: int = DEFAULT_MINOR_CAP) -> list[Polynomial]:
-    """Jacobian-criterion generators: the ideal plus all c-minors of its
-    Jacobian; valid for any generating set of an equidimensional radical
-    ideal of codimension c."""
-    gens = _check_minor_count(generators, c, cap)
-    J = jacobian(gens)
-    return list(gens) + list(enumerate_minors(J, c))
+    return gens + list(enumerate_minors(J, c))
 
 
 def singular_locus_ideal(result: PolarIdealResult,
@@ -251,17 +225,14 @@ def singular_locus_dim(result: PolarIdealResult,
     """Dimension of the singular locus of the variety behind `result`, and
     the route that decided it ("radical" or "jacobian").
 
-    The Jacobian criterion's minor-count cap is checked first, as
-    singular_locus_ideal does, so callers fall back to the delta proxy on
-    the same cells.  A zero-dimensional variety is singular exactly at its
-    non-reduced points, so it is decided by the exact radical test on the
-    reduced basis (-1 when radical, 0 otherwise); positive dimensions go
-    through singular_locus_ideal."""
-    if result.dim != 0:
-        sing = singular_locus_ideal(result, limits, cap)
-        return sing.dim, "jacobian"
-    _check_minor_count(result.ideal.generators, result.n, cap)
-    return (-1 if is_radical_zero_dim(result.gb, limits) else 0), "radical"
+    A zero-dimensional variety is singular exactly at its non-reduced
+    points, so it is decided by the exact radical test on the reduced basis
+    (-1 when radical, 0 otherwise); it builds no minors, so the minor cap
+    does not apply.  Positive dimensions go through singular_locus_ideal,
+    which raises MinorCapExceededError past `cap`."""
+    if result.dim == 0:
+        return (-1 if is_radical_zero_dim(result.gb, limits) else 0), "radical"
+    return singular_locus_ideal(result, limits, cap).dim, "jacobian"
 
 
 def polar_singular_dim(spec: PolarSpec, result: PolarIdealResult,

@@ -10,15 +10,11 @@ tuple to a nonzero canonical residue; the zero polynomial has no terms.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .field import PrimeField
 
 Monomial = tuple[int, ...]
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def drl_key(m: Monomial):
@@ -87,16 +83,6 @@ class Polynomial:
             raise ValueError(f"variable index {j} out of range 1..{n}")
         m = tuple(1 if k == j - 1 else 0 for k in range(n))
         return cls(field, n, {m: 1}, _clean=True)
-
-    @classmethod
-    def from_terms(cls, field: PrimeField, n: int,
-                   items: Iterable[tuple[Monomial, int]]) -> "Polynomial":
-        acc: dict[Monomial, int] = {}
-        q = field.q
-        for m, c in items:
-            m = tuple(m)
-            acc[m] = (acc.get(m, 0) + c) % q
-        return cls(field, n, {m: c for m, c in acc.items() if c}, _clean=True)
 
     # ----------------------------------------------------------------- queries
 

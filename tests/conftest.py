@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from polarvar.field import PrimeField
-from polarvar.matrices import PolyMatrix
+from polarvar.matrices import ConstMatrix, PolyMatrix
 from polarvar.poly import Polynomial, monomial_divides
 
 
@@ -69,6 +69,12 @@ def naive_evaluate(f: Polynomial, coords) -> int:
             v = v * pow(x, e, q) % q
         total = (total + v) % q
     return total
+
+
+def evaluate_matrix(M: PolyMatrix, x) -> ConstMatrix:
+    """Every entry of M evaluated at x by naive_evaluate."""
+    return ConstMatrix(M.field, [[naive_evaluate(f, x) for f in row]
+                                 for row in M.entries])
 
 
 def brute_force_dimension(leading_monomials, n: int) -> int:

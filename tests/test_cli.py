@@ -54,6 +54,17 @@ def test_construct_circle(circle_file, a10_file, tmp_path, capsys):
     assert json.loads(report.read_text())["dim"] == 0
 
 
+def test_classic_construct_rejects_a_nonzero_col0(circle_file, tmp_path, capsys):
+    matrix = tmp_path / "a.json"
+    matrix.write_text('{"rows": [[1, 0]], "col0": [2]}')
+    assert dispatch(["construct", "--flavor", "classic", "--i", "1",
+                     "--system", circle_file, "--matrix", str(matrix)]) == EXIT_INPUT
+    assert "column 0" in capsys.readouterr().err
+    # the dual flavor takes the same file
+    assert dispatch(["construct", "--flavor", "dual", "--i", "1",
+                     "--system", circle_file, "--matrix", str(matrix)]) == EXIT_OK
+
+
 def test_delta_and_singular(circle_file, a10_file, capsys):
     assert dispatch(["delta", "--flavor", "classic", "--i", "1",
                      "--system", circle_file, "--matrix", a10_file,

@@ -17,7 +17,7 @@ from polarvar.matrices import jacobian
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial, evaluate
 
-from conftest import naive_evaluate, random_poly
+from conftest import evaluate_matrix, naive_evaluate, random_poly
 
 
 def test_derive_seed_is_deterministic_and_spread():
@@ -165,7 +165,7 @@ def brute_force_points(F):
     the rank of the symbolic Jacobian evaluated there."""
     field, n = F[0].field, F[0].n
     J = jacobian(F)
-    return [(x, J.evaluate(x).rank() == len(F))
+    return [(x, evaluate_matrix(J, x).rank() == len(F))
             for x in product(range(field.q), repeat=n)
             if all(naive_evaluate(f, x) == 0 for f in F)]
 
@@ -247,9 +247,22 @@ def test_cell_records_singular_route(K):
     assert (jacobian.dim_W, jacobian.sing_route) == (1, "jacobian")
     assert radical.match and jacobian.match
     assert "sing_route" not in radical.to_record()
-    capped = run_cell(CellSpec(5, 2, 3, seed=seed), minor_cap=1)
+    # the cap bounds Jacobian minors only: the radical route ignores it,
+    # and the curve falls back to the delta proxy
+    uncapped = run_cell(CellSpec(5, 2, 3, seed=seed), minor_cap=1)
+    assert (uncapped.mode, uncapped.sing_route) == ("full", "radical")
+    capped = run_cell(CellSpec(5, 2, 2, seed=seed), minor_cap=1)
     assert (capped.mode, capped.sing_route) == ("delta", "delta")
-    assert capped.dim_sing == radical.dim_sing
+    assert capped.dim_sing == jacobian.dim_sing
     # W's basis fits in 50 pairs, the radical test does not: the cell skips
     starved = run_cell(CellSpec(5, 2, 3, seed=seed), GBLimits(max_pairs=50))
     assert (starved.status, starved.dim_W, starved.sing_route) == ("skipped", 0, None)
+
+
+def test_zero_dimensional_cell_past_the_cap_stays_full():
+    # (6,2,4) of the n = 6 grid: W has D = 20 points and its Jacobian
+    # criterion would need more minors than the default cap, but the
+    # radical test builds none
+    cell = run_cell(CellSpec(6, 2, 4, seed=derive_seed(1, 6, 2, 0)))
+    assert (cell.dim_W, cell.deg_W) == (0, 20)
+    assert (cell.mode, cell.sing_route, cell.dim_sing) == ("full", "radical", -1)

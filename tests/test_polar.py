@@ -7,12 +7,12 @@ import pytest
 from polarvar.field import PrimeField
 from polarvar.groebner import (BudgetExceededError, GBLimits, IdealPresentation,
                                normal_form, reduced_groebner_basis)
-from polarvar.matrices import ConstMatrix, minor_count
+from polarvar.matrices import ConstMatrix, enumerate_minors, minor_count
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial
 from polarvar.polar import (MinorCapExceededError, PolarSpec, PolarSpecError,
                             PointClassificationError, analyze_ideal,
-                            delta_generators, delta_ideal, incidence_fiber_dim,
+                            delta_ideal, incidence_fiber_dim,
                             polar_generators, polar_ideal, polar_singular_dim,
                             polar_stack,
                             singular_locus_dim, singular_locus_generators,
@@ -98,6 +98,34 @@ def test_spec_preconditions(K, circle):
         PolarSpec.classic(3, 1, 1, [circle], ConstMatrix(K, [[1, 0, 0]]))
 
 
+def test_spec_column0(K, circle):
+    a = ConstMatrix(K, [[1, 0]])
+    assert PolarSpec.classic(2, 1, 1, [circle], a).column0 == (0,)
+    assert PolarSpec.dual(2, 1, 1, [circle], a).column0 == (1,)
+    # offsets are reduced mod q, so q itself is a zero offset
+    assert PolarSpec.classic(2, 1, 1, [circle], a).column0 == \
+        PolarSpec(2, 1, 1, "classic", [circle], a, column0=[K.q]).column0
+    with pytest.raises(PolarSpecError):
+        PolarSpec(2, 1, 1, "classic", [circle], a, column0=[2])
+    with pytest.raises(PolarSpecError):
+        PolarSpec.dual(2, 1, 1, [circle], a, column0=[1, 1])
+    with pytest.raises(PolarSpecError):
+        PolarSpec.dual(2, 1, 1, [circle], ConstMatrix(K, [[2, 0, 0]]))
+
+
+def test_spec_rejects_a_matrix_over_another_field(K, circle):
+    with pytest.raises(PolarSpecError):
+        PolarSpec.classic(2, 1, 1, [circle], ConstMatrix(PrimeField(7), [[1, 0]]))
+    with pytest.raises(PolarSpecError):
+        PolarSpec.dual(2, 1, 1, [circle], ConstMatrix(PrimeField(7), [[2, 0]]))
+
+
+def test_classic_stack_rows_are_constants(K, sphere):
+    a = ConstMatrix(K, [[1, 0, 0], [0, 5, 7]])
+    stack = polar_stack(PolarSpec.classic(3, 1, 1, [sphere], a))
+    assert stack.entries[1:] == a.to_poly_matrix(3).entries
+
+
 def test_polar_stack_shape(K, sphere):
     spec = PolarSpec.classic(3, 1, 1, [sphere],
                              ConstMatrix(K, [[1, 0, 0], [0, 1, 0]]))
@@ -120,7 +148,7 @@ def test_delta_minor_bookkeeping_at_top_index(K):
     sphere = P("x1^2+x2^2+x3^2-1", 3, field)
     spec = PolarSpec.classic(n, p, i, [sphere], ConstMatrix(field, [[1, 2, 3]]))
     polar_gens = polar_generators(spec)
-    delta_gens = delta_generators(spec)
+    delta_gens = [sphere] + list(enumerate_minors(polar_stack(spec), n - i))
     assert len(polar_gens) == 1 + 3   # F plus C(3,2) maximal minors
     assert len(delta_gens) == 1 + minor_count(polar_stack(spec), n - i)
     G = reduced_groebner_basis(
@@ -234,11 +262,15 @@ def test_singular_locus_dim_preconditions(K):
     empty = analyze_ideal(K, 1, 1, [P("x1", 1, K), P("x1+1", 1, K)])
     with pytest.raises(PolarSpecError):
         singular_locus_dim(empty)
-    # the minor-count cap is checked before the radical test runs
+    # the radical test builds no minors, so the minor-count cap is moot
     points = analyze_ideal(K, 2, 1, [P("x1^2-1", 2, K), P("x2^2-4", 2, K)])
-    with pytest.raises(MinorCapExceededError):
-        singular_locus_dim(points, cap=0)
+    assert singular_locus_dim(points, cap=0) == (-1, "radical")
     assert singular_locus_dim(points) == (-1, "radical")
+    # a curve needs the Jacobian minors, whose count the cap bounds
+    curve = analyze_ideal(K, 3, 1, [P("x1^2+x2^2+x3^2-1", 3, K), P("x3", 3, K)])
+    assert curve.dim == 1
+    with pytest.raises(MinorCapExceededError):
+        singular_locus_dim(curve, cap=0)
     # the radical test runs under the Groebner limits it is given
     with pytest.raises(BudgetExceededError):
         singular_locus_dim(points, GBLimits(max_pairs=5))
