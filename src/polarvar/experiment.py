@@ -24,6 +24,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .field import DEFAULT_PRIME, PrimeField
@@ -70,19 +71,11 @@ def random_dense_poly(rng: random.Random, field: PrimeField, n: int,
     """Uniform coefficients on every monomial of total degree <= degree."""
     q = field.q
     terms: dict[tuple[int, ...], int] = {}
-
-    def rec(prefix: list[int], remaining: int, slot: int) -> None:
-        if slot == n:
+    for m in product(range(degree + 1), repeat=n):
+        if sum(m) <= degree:
             c = rng.randrange(q)
             if c:
-                terms[tuple(prefix)] = c
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, slot + 1)
-            prefix.pop()
-
-    rec([], degree, 0)
+                terms[m] = c
     return Polynomial(field, n, terms, _clean=True)
 
 

@@ -31,7 +31,7 @@ from .groebner import (DEFAULT_LIMITS, GBLimits, IdealPresentation,
                        localize_rabinowitsch, normal_form)
 from .experiment import random_full_rank_matrix
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
-                       jacobian, jacobian_at)
+                       jacobian, jacobian_at, system_ring)
 from .poly import Point, Polynomial, differentiate, evaluate
 from .polar import (CLASSIC, PolarIdealResult, PolarSpec, PolarSpecError,
                     analyze_ideal, polar_generators,
@@ -353,7 +353,7 @@ def example2_matrix(field: PrimeField, n: int, p: int, i: int,
 
 def corner_minor(F: Sequence[Polynomial]) -> Polynomial:
     """det [dF_k/dX_l] over the first p-1 rows and columns; 1 when p = 1."""
-    field, n = F[0].field, F[0].n
+    field, n = system_ring(F)
     p = len(F)
     if p == 1:
         return Polynomial.constant(field, n, 1)
@@ -392,7 +392,7 @@ def example2_chain(F: Sequence[Polynomial], gamma: Sequence[int],
     smoothness of the localized variety are reported, plus the exact
     ideal-membership inclusion of each level in the next."""
     F = list(F)
-    field, n = F[0].field, F[0].n
+    field, n = system_ring(F)
     p = len(F)
     m = corner_minor(F)
     levels: list[ChainLevel] = []
@@ -476,7 +476,7 @@ def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
     if trials < 1:
         raise PolarSpecError("need at least one random trial")
     F = list(F)
-    field, n = F[0].field, F[0].n
+    field, n = system_ring(F)
     p = len(F)
     if not 1 <= i <= n - p:
         raise PolarSpecError(f"need 1 <= i <= n-p = {n - p}, got i={i}")

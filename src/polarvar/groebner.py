@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .field import PrimeField
-from .poly import (Monomial, Polynomial, drl_key, monomial_div, monomial_divides,
-                   monomial_lcm, monomial_mul)
+from .poly import (Monomial, Polynomial, add_multiple, drl_key, monomial_div,
+                   monomial_divides, monomial_lcm, monomial_mul)
 
 
 class BudgetExceededError(RuntimeError):
@@ -113,7 +113,11 @@ class _Elem:
 
 
 def _reduce_full(work: dict, elems: list[_Elem], q: int, sugar: int) -> tuple[dict, int]:
-    """Full division remainder: no remainder term divisible by any live lead."""
+    """Full division remainder: no remainder term divisible by any live lead.
+
+    The one multiply-accumulate loop not routed through poly.add_multiple:
+    every key it creates must also be pushed onto the heap, and a kernel
+    that reported new keys would have to branch on which caller it serves."""
     work = dict(work)
     heap = [_heap_key(m) for m in work]
     heapq.heapify(heap)
@@ -259,18 +263,8 @@ def reduced_groebner_basis(I: IdealPresentation,
         lij = entry[0]
         fi, fj = elems[i], elems[j]
         # S-polynomial of two monic elements: leading terms cancel exactly
-        si = monomial_div(lij, fi.lm)
-        sj = monomial_div(lij, fj.lm)
-        spoly: dict = {}
-        for m, c in fi.terms.items():
-            spoly[monomial_mul(m, si)] = c
-        for m, c in fj.terms.items():
-            key = monomial_mul(m, sj)
-            s = (spoly.get(key, 0) - c) % q
-            if s:
-                spoly[key] = s
-            else:
-                spoly.pop(key, None)
+        spoly = add_multiple({}, fi.terms, 1, q, monomial_div(lij, fi.lm))
+        add_multiple(spoly, fj.terms, -1, q, monomial_div(lij, fj.lm))
         if not spoly:
             continue
         live = [e for e in elems if not e.redundant]
@@ -605,9 +599,8 @@ def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> 
         budget.spend(len(nf[_bump(b, k, -1)]))
         acc: dict[int, int] = {}
         for t, c in nf[_bump(b, k, -1)].items():
-            for idx, x in nf[_bump(staircase[t], k)].items():
-                acc[idx] = acc.get(idx, 0) + c * x
-        nf[b] = {idx: x % q for idx, x in acc.items() if x % q}
+            add_multiple(acc, nf[_bump(staircase[t], k)], c, q)
+        nf[b] = acc
 
     for j in range(n):
         f = _minimal_polynomial([sorted(nf[_bump(m, j)].items()) for m in staircase],

@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .field import PrimeField
-from .poly import Point, Polynomial, as_coordinates, differentiate
+from .poly import Point, Polynomial, add_multiple, as_coordinates, differentiate
 
 
 class ConstMatrix:
@@ -56,19 +56,16 @@ class ConstMatrix:
                         for j in range(other.cols)])
         return ConstMatrix(self.field, out)
 
-    def _echelon(self) -> tuple[list[list[int]], int, int]:
-        """Row echelon form; returns (matrix, rank, parity of row swaps)."""
+    def _echelon(self) -> tuple[list[list[int]], int]:
+        """Row echelon form; returns (matrix, rank)."""
         q = self.field.q
         a = [list(r) for r in self.entries]
         rank = 0
-        swaps = 0
         for col in range(self.cols):
             pivot = next((r for r in range(rank, self.rows) if a[r][col]), None)
             if pivot is None:
                 continue
-            if pivot != rank:
-                a[rank], a[pivot] = a[pivot], a[rank]
-                swaps += 1
+            a[rank], a[pivot] = a[pivot], a[rank]
             inv = pow(a[rank][col], -1, q)
             for r in range(rank + 1, self.rows):
                 if a[r][col]:
@@ -77,23 +74,10 @@ class ConstMatrix:
             rank += 1
             if rank == self.rows:
                 break
-        return a, rank, swaps
+        return a, rank
 
     def rank(self) -> int:
         return self._echelon()[1]
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        a, rank, swaps = self._echelon()
-        if rank < self.rows:
-            return 0
-        q = self.field.q
-        d = 1
-        # after echelon with partial pivoting the pivots sit on the diagonal
-        for i in range(self.rows):
-            d = d * a[i][i] % q
-        return (q - d) % q if swaps % 2 else d
 
     def inverse(self) -> "ConstMatrix":
         if self.rows != self.cols:
@@ -118,7 +102,7 @@ class ConstMatrix:
     def nullspace_basis(self) -> list[tuple[int, ...]]:
         """Basis of {v : A v = 0} as row vectors."""
         q = self.field.q
-        a, rank, _ = self._echelon()
+        a, rank = self._echelon()
         # back-substitute to reduced form
         pivots: list[tuple[int, int]] = []
         r = 0
@@ -277,17 +261,9 @@ def _laplace_minors(M: PolyMatrix):
             sub = det(sub_rows, cols[:j] + cols[j + 1:])
             if not sub:
                 continue
-            negate = (k - 1 + j) % 2
-            for m1, c1 in e.items():
-                if negate:
-                    c1 = q - c1
-                for m2, c2 in sub.items():
-                    mm = tuple(a + b for a, b in zip(m1, m2))
-                    v = (acc.get(mm, 0) + c1 * c2) % q
-                    if v:
-                        acc[mm] = v
-                    else:
-                        acc.pop(mm, None)
+            sign = -1 if (k - 1 + j) % 2 else 1
+            for m, c in e.items():
+                add_multiple(acc, sub, sign * c, q, m)
         memo[key] = acc
         return acc
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .field import PrimeField
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, add_multiple
 
 MAX_EXPONENT = 10**6
 
@@ -70,13 +70,7 @@ def parse_polynomial(text: str, n: int, field: PrimeField) -> Polynomial:
 
     def add_term(sign: int) -> None:
         coeff, mono = _parse_term(sc, n)
-        c = (sign * coeff) % q
-        m = tuple(mono)
-        s = (acc.get(m, 0) + c) % q
-        if s:
-            acc[m] = s
-        else:
-            acc.pop(m, None)
+        add_multiple(acc, {tuple(mono): 1}, sign * coeff, q)
 
     sign = 1
     if sc.peek() == "-":
@@ -105,13 +99,10 @@ def _parse_term(sc: _Scanner, n: int) -> tuple[int, list[int]]:
     ch = sc.peek()
     if ch.isdigit():
         coeff = sc.natural()
-        saw_factor = False
+        # a bare integer is a constant term
         while sc.peek() == "*":
             sc.take()
             _parse_factor(sc, exps, n)
-            saw_factor = True
-        # a bare integer is a constant term
-        _ = saw_factor
         return coeff, exps
     if ch == "x":
         _parse_factor(sc, exps, n)

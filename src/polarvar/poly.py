@@ -10,6 +10,7 @@ tuple to a nonzero canonical residue; the zero polynomial has no terms.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterator, Sequence
 
 from .field import PrimeField
@@ -23,7 +24,28 @@ def drl_key(m: Monomial):
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+def add_multiple(acc: dict, terms: dict, c: int, q: int,
+                 shift: Monomial | None = None) -> dict:
+    """acc += c * x^shift * terms over F_q, in place; returns acc.
+
+    The one sparse multiply-accumulate of the package.  Keys whose
+    coefficient cancels to zero are deleted.  With shift=None the keys of
+    terms are taken as they are, so they may be any hashables."""
+    c %= q
+    if not c:
+        return acc
+    for m, v in terms.items():
+        if shift is not None:
+            m = tuple(map(add, m, shift))
+        s = (acc.get(m, 0) + c * v) % q
+        if s:
+            acc[m] = s
+        else:
+            acc.pop(m, None)
+    return acc
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -124,27 +146,15 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        q = self.field.q
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = (acc.get(m, 0) + c) % q
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return Polynomial(self.field, self.n, acc, _clean=True)
+        return Polynomial(self.field, self.n,
+                          add_multiple(dict(self.terms), other.terms, 1, self.field.q),
+                          _clean=True)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        q = self.field.q
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = (acc.get(m, 0) - c) % q
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return Polynomial(self.field, self.n, acc, _clean=True)
+        return Polynomial(self.field, self.n,
+                          add_multiple(dict(self.terms), other.terms, -1, self.field.q),
+                          _clean=True)
 
     def __neg__(self) -> "Polynomial":
         q = self.field.q
@@ -159,14 +169,8 @@ class Polynomial:
             left, right = other, self
         else:
             left, right = self, other
-        for m1, c1 in left.terms.items():
-            for m2, c2 in right.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                s = (acc.get(m, 0) + c1 * c2) % q
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+        for m, c in left.terms.items():
+            add_multiple(acc, right.terms, c, q, m)
         return Polynomial(self.field, self.n, acc, _clean=True)
 
     def scale(self, c: int) -> "Polynomial":
@@ -184,12 +188,8 @@ class Polynomial:
 
     def shift(self, m: Monomial, c: int = 1) -> "Polynomial":
         """Multiply by the term c * x^m."""
-        q = self.field.q
-        c %= q
-        if c == 0:
-            return Polynomial.zero(self.field, self.n)
         return Polynomial(self.field, self.n,
-                          {monomial_mul(k, m): v * c % q for k, v in self.terms.items()},
+                          add_multiple({}, self.terms, c, self.field.q, m),
                           _clean=True)
 
     def __pow__(self, e: int) -> "Polynomial":

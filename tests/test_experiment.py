@@ -49,6 +49,14 @@ def test_random_dense_poly_is_a_quadric(K):
     assert random_dense_poly(rng2, K, 4) == f
 
 
+def test_random_dense_poly_draw_order_is_pinned():
+    # one draw per monomial in lexicographic exponent order; a change of
+    # that order changes every seeded system of the experiment
+    f = random_dense_poly(random.Random(5), PrimeField(7), 3)
+    assert str(f) == ("-3*x1^2 - 2*x1*x2 - 2*x2^2 - 2*x1*x3 - x2*x3 - 2*x3^2"
+                      " - x1 + 2*x2 + 2*x3 - 3")
+
+
 def test_random_full_rank_matrix(K):
     rng = random.Random(9)
     M = random_full_rank_matrix(rng, K, 3, 5)

@@ -189,3 +189,26 @@ def test_degree_domination_dual_flavor(K):
 def test_family_draw_error_surfaces(K):
     with pytest.raises(FamilyDrawError):
         build_family_31(6, seed=0, field=K, max_attempts=0)
+
+
+@pytest.fixture(scope="module")
+def mixed_system(K):
+    return [P("x1^2+x2^2-1", 2, K), P("x1*x3", 3, K)]
+
+
+def test_corner_minor_rejects_empty_and_mixed_systems(K, mixed_system):
+    for F in ([], mixed_system):
+        with pytest.raises(ValueError):
+            corner_minor(F)
+
+
+def test_example2_chain_rejects_empty_and_mixed_systems(K, mixed_system):
+    for F in ([], mixed_system):
+        with pytest.raises(ValueError):
+            example2_chain(F, [1, 1, 1])
+
+
+def test_degree_domination_rejects_empty_and_mixed_systems(K, mixed_system):
+    for F in ([], mixed_system):
+        with pytest.raises(ValueError):
+            degree_domination_check(F, i=1, trials=1, seed=0)

@@ -149,13 +149,16 @@ def test_determinant_alternating_on_row_swap(K):
 
 
 def test_determinant_multiplicative_on_constants(K):
+    def det(C):
+        return determinant_division_free(C.to_poly_matrix(1))
+
     rng = random.Random(47)
     for _ in range(20):
         A = ConstMatrix(K, [[rng.randrange(K.q) for _ in range(3)]
                             for _ in range(3)])
         B = ConstMatrix(K, [[rng.randrange(K.q) for _ in range(3)]
                             for _ in range(3)])
-        assert A.matmul(B).det() == A.det() * B.det() % K.q
+        assert det(A.matmul(B)) == det(A) * det(B)
 
 
 def test_minor_enumeration_count_and_order(K):
@@ -250,5 +253,3 @@ def test_const_matrix_shape_errors(K):
         ConstMatrix(K, [[1, 2], [3]])
     with pytest.raises(ValueError):
         ConstMatrix(K, [])
-    with pytest.raises(ValueError):
-        ConstMatrix(K, [[1, 2]]).det()

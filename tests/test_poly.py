@@ -5,8 +5,8 @@ import random
 import pytest
 
 from polarvar.parsing import parse_polynomial
-from polarvar.poly import (Point, Polynomial, differentiate, drl_key, evaluate,
-                           monomial_mul)
+from polarvar.poly import (Point, Polynomial, add_multiple, differentiate, drl_key,
+                           evaluate, monomial_mul)
 
 from conftest import naive_evaluate, random_poly
 
@@ -42,6 +42,56 @@ def expand_product_oracle(f, g):
             m = monomial_mul(m1, m2)
             acc[m] = acc.get(m, 0) + c1 * c2
     return Polynomial(f.field, f.n, acc)
+
+
+def add_multiple_oracle(acc, terms, c, q, shift):
+    # acc + c * x^shift * terms, built in a fresh dict with one final mod
+    out = dict(acc)
+    for m, v in terms.items():
+        if shift is not None:
+            m = monomial_mul(m, shift)
+        out[m] = out.get(m, 0) + c * v
+    return {m: v % q for m, v in out.items() if v % q}
+
+
+def test_add_multiple_against_a_dict_oracle():
+    q = 7
+    rng = random.Random(71)
+    monos = [(a, b) for a in range(3) for b in range(3)]
+    for _ in range(300):
+        acc = {m: rng.randrange(1, q) for m in rng.sample(monos, rng.randrange(6))}
+        terms = {m: rng.randrange(1, q) for m in rng.sample(monos, rng.randrange(6))}
+        c = rng.randrange(-2 * q, 2 * q)
+        shift = rng.choice([None, (0, 0), (1, 0), (0, 2)])
+        expected = add_multiple_oracle(acc, terms, c, q, shift)
+        out = add_multiple(acc, terms, c, q, shift)
+        assert out is acc
+        assert out == expected
+        assert all(0 < v < q for v in out.values())
+
+
+def test_add_multiple_cancellation_and_zero_multipliers():
+    q = 7
+    f = {(2, 0): 3, (1, 1): 5, (0, 0): 1}
+    # full cancellation leaves no key behind, zero-valued or not
+    assert add_multiple(dict(f), f, -1, q) == {}
+    assert add_multiple(dict(f), f, 6, q) == {}
+    assert add_multiple({(3, 1): 3, (2, 2): 5, (1, 1): 1}, f, -1, q, (1, 1)) == {}
+    # a multiplier that vanishes mod q leaves acc untouched
+    for c in (0, 7, -14):
+        assert add_multiple(dict(f), f, c, q) == f
+    # a negative multiplier is reduced mod q
+    assert add_multiple({}, f, -3, q) == add_multiple({}, f, 4, q) == {
+        (2, 0): 5, (1, 1): 6, (0, 0): 4}
+    # shift=None is the all-zero shift
+    assert add_multiple({(1, 1): 2}, f, 3, q) == add_multiple({(1, 1): 2}, f, 3, q, (0, 0))
+
+
+def test_add_multiple_on_integer_keys():
+    q = 7
+    acc = {0: 1, 3: 4}
+    assert add_multiple(acc, {0: 6, 1: 2, 3: 1}, 1, q) == {1: 2, 3: 5}
+    assert add_multiple(acc, {1: 1, 3: 4}, -2, q) == {3: 4}
 
 
 def test_ring_laws_on_random_triples(K):
