@@ -5,6 +5,18 @@ sugar-based selection, always in degrevlex.  Resource limits (pair count,
 basis size, element degree) turn runaway computations into explicit
 BudgetExceededError, never silently truncated output.
 
+Inside the engine a monomial is one integer,
+K(m) = deg(m) << (B*n) | sum_j (M - e_j) << (B*j) with M = 2^(B-1) - 1:
+a B-bit field per variable whose top bit is a guard, and the total degree
+above them all.  Integer order is then exactly degrevlex, a product is
+K(a) + K(b) - K(1), and a | b is one subtraction tested on the guard bits;
+lcms and the coprimality criterion unpack the fields, once per pair.  B is
+read off the input: a field holds twice the larger of GBLimits.max_degree
+and the largest input degree (for normal_form, the degree of f and of G),
+because S-polynomial terms reach the degree of an lcm.
+reduced_groebner_basis and normal_form pack their input on entry and
+unpack on exit, so every Polynomial and GroebnerBasis keeps tuple keys.
+
 Dimension is read combinatorially off the leading-term staircase (largest
 variable subset meeting no leading support), degree from the Hilbert-series
 numerator of the leading-term ideal; the two dimension routes are computed
@@ -19,11 +31,12 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .field import PrimeField
-from .poly import (Monomial, Polynomial, add_multiple, drl_key, monomial_div,
-                   monomial_divides, monomial_lcm, monomial_mul)
+from .poly import (Monomial, Polynomial, add_multiple, drl_key, monomial_divides,
+                   monomial_lcm)
 
 
 class BudgetExceededError(RuntimeError):
@@ -97,66 +110,109 @@ class GroebnerBasis:
 # --------------------------------------------------------------------- engine
 
 
-def _heap_key(m: Monomial):
-    # min-heap entry whose smallest element is the degrevlex-largest monomial
-    return (-sum(m), tuple(reversed(m)))
+class _Packing:
+    """Monomials of one ring as the integer keys of the module docstring,
+    with the least field width B whose largest exponent M is >= 2 * degree."""
+
+    __slots__ = ("shift", "limit", "one", "guard", "_fields", "_weights")
+
+    def __init__(self, n: int, degree: int):
+        width = (2 * max(degree, 0)).bit_length() + 1
+        self.shift = width * n  # the total degree sits above the fields
+        self.limit = (1 << (width - 1)) - 1
+        self._fields = tuple(width * j for j in range(n))
+        # K(1) is M in every field, so it also masks the degree off a key
+        self.one = sum(self.limit << s for s in self._fields)
+        self.guard = sum(1 << (s + width - 1) for s in self._fields)
+        self._weights = tuple((1 << self.shift) - (1 << s) for s in self._fields)
+
+    def pack(self, m: Monomial) -> int:
+        return self.one + sum(map(mul, m, self._weights))
+
+    def unpack(self, k: int) -> Monomial:
+        limit = self.limit
+        return tuple(limit - (k >> s & limit) for s in self._fields)
+
+    def divisor(self, a: int) -> int:
+        """The guarded fields of a, to test a | b by `divides`."""
+        return (a & self.one) | self.guard
+
+    def divides(self, a: int, b: int) -> bool:
+        guard = self.guard
+        return (self.divisor(a) - (b & self.one)) & guard == guard
+
+    def degree(self, k: int) -> int:
+        return k >> self.shift
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(m): c for m, c in terms.items()}
 
 
 class _Elem:
-    __slots__ = ("terms", "lm", "sugar", "redundant")
+    """A monic basis element in packed form, with what the reducer and the
+    pair update read off its leading monomial precomputed."""
 
-    def __init__(self, terms: dict, lm: Monomial, sugar: int):
+    __slots__ = ("terms", "tail", "lm", "div", "deg", "exps", "sugar", "redundant")
+
+    def __init__(self, terms: dict, lm: int, sugar: int, pk: _Packing):
         self.terms = terms
+        self.tail = tuple(t for t in terms.items() if t[0] != lm)
         self.lm = lm
+        self.div = pk.divisor(lm)
+        self.deg = pk.degree(lm)
+        self.exps = pk.unpack(lm)
         self.sugar = sugar
         self.redundant = False
 
 
-def _reduce_full(work: dict, elems: list[_Elem], q: int, sugar: int) -> tuple[dict, int]:
+def _reduce_full(work: dict, elems: list[_Elem], q: int, sugar: int,
+                 pk: _Packing) -> tuple[dict, int]:
     """Full division remainder: no remainder term divisible by any live lead.
 
     The one multiply-accumulate loop not routed through poly.add_multiple:
-    every key it creates must also be pushed onto the heap, and a kernel
-    that reported new keys would have to branch on which caller it serves."""
+    every key it creates must also be pushed onto the heap of negated keys,
+    and a kernel that reported new keys would have to branch on which
+    caller it serves.  A reducer led by L maps its term b to b + K(m) - K(L)."""
     work = dict(work)
-    heap = [_heap_key(m) for m in work]
+    get, pop = work.get, work.pop
+    heap = [-m for m in work]
     heapq.heapify(heap)
+    push = heapq.heappush
     remainder: dict = {}
+    mask, guard, shift = pk.one, pk.guard, pk.shift
     while heap:
-        hk = heapq.heappop(heap)
-        m = tuple(reversed(hk[1]))
-        c = work.get(m)
+        m = -heapq.heappop(heap)
+        c = pop(m, 0)
         if not c:
             continue
-        reducer = None
+        low = m & mask
         for e in elems:
-            if monomial_divides(e.lm, m):
-                reducer = e
+            if (e.div - low) & guard == guard:
                 break
-        if reducer is None:
-            del work[m]
+        else:
             remainder[m] = c
             continue
-        del work[m]
-        shift = monomial_div(m, reducer.lm)
-        sugar = max(sugar, reducer.sugar + sum(shift))
-        for bm, bc in reducer.terms.items():
-            if bm == reducer.lm:
-                continue
-            key = monomial_mul(bm, shift)
-            prev = work.get(key, 0)
-            s = (prev - c * bc) % q
+        delta = m - e.lm
+        sugar = max(sugar, e.sugar + (m >> shift) - e.deg)
+        c = q - c
+        for bm, bc in e.tail:
+            key = bm + delta
+            prev = get(key, 0)
+            s = (prev + c * bc) % q
             if s:
                 if not prev:
-                    heapq.heappush(heap, _heap_key(key))
+                    push(heap, -key)
                 work[key] = s
             elif prev:
                 del work[key]
     return remainder, sugar
 
 
-def _monic(terms: dict, q: int) -> tuple[dict, Monomial]:
-    lm = max(terms, key=drl_key)
+def _monic(terms: dict, q: int) -> tuple[dict, int]:
+    lm = max(terms)
     lc = terms[lm]
     if lc != 1:
         inv = pow(lc, -1, q)
@@ -164,15 +220,22 @@ def _monic(terms: dict, q: int) -> tuple[dict, Monomial]:
     return terms, lm
 
 
-def _update_pairs(elems: list[_Elem], pairs: dict, pair_heap: list, t: int) -> None:
+def _update_pairs(elems: list[_Elem], pairs: dict, pair_heap: list, t: int,
+                  pk: _Packing) -> None:
     """Gebauer-Moller update of the pair set after appending element t."""
-    h_lm = elems[t].lm
+    h = elems[t]
+    mask, guard = pk.one, pk.guard
+
+    lcms: dict[int, int] = {}
+
+    def lcm(i: int) -> int:
+        if i not in lcms:
+            lcms[i] = pk.pack(monomial_lcm(elems[i].exps, h.exps))
+        return lcms[i]
+
     # candidate new pairs against live elements
     cand = [i for i in range(t) if not elems[i].redundant]
-    lcms = {i: monomial_lcm(elems[i].lm, h_lm) for i in cand}
-
-    def coprime(i: int) -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(elems[i].lm, h_lm))
+    divs = {i: pk.divisor(lcm(i)) for i in cand}
 
     # criteria M and F: keep one representative among divisible/equal lcms
     kept: list[int] = []
@@ -181,17 +244,17 @@ def _update_pairs(elems: list[_Elem], pairs: dict, pair_heap: list, t: int) -> N
         if i in dropped:
             continue
         li = lcms[i]
+        low = li & mask
         keep = True
         for j in cand:
             if j == i or j in dropped:
                 continue
-            lj = lcms[j]
-            if lj == li:
+            if lcms[j] == li:
                 # duplicate lcm: the smaller index survives
                 if j < i:
                     keep = False
                     break
-            elif monomial_divides(lj, li):
+            elif (divs[j] - low) & guard == guard:
                 keep = False
                 break
         if keep:
@@ -201,30 +264,35 @@ def _update_pairs(elems: list[_Elem], pairs: dict, pair_heap: list, t: int) -> N
     # criterion B on old pairs
     for (i, j) in list(pairs):
         lij = pairs[(i, j)][0]
-        if (monomial_divides(h_lm, lij)
-                and monomial_lcm(elems[i].lm, h_lm) != lij
-                and monomial_lcm(elems[j].lm, h_lm) != lij):
+        if ((h.div - (lij & mask)) & guard == guard
+                and lcm(i) != lij and lcm(j) != lij):
             del pairs[(i, j)]
     # Buchberger coprimality criterion on the survivors
     for i in kept:
-        if coprime(i):
+        e = elems[i]
+        if all(a == 0 or b == 0 for a, b in zip(e.exps, h.exps)):
             continue
         li = lcms[i]
-        sugar = max(elems[i].sugar + sum(li) - sum(elems[i].lm),
-                    elems[t].sugar + sum(li) - sum(h_lm))
+        deg = pk.degree(li)
+        sugar = max(e.sugar + deg - e.deg, h.sugar + deg - h.deg)
         pairs[(i, t)] = (li, sugar)
-        heapq.heappush(pair_heap, (sugar, drl_key(li), i, t))
+        heapq.heappush(pair_heap, (sugar, li, i, t))
     # newly dominated leads form no further pairs
     for i in range(t):
-        if not elems[i].redundant and monomial_divides(h_lm, elems[i].lm):
+        if not elems[i].redundant and pk.divides(h.lm, elems[i].lm):
             elems[i].redundant = True
 
 
 def reduced_groebner_basis(I: IdealPresentation,
                            limits: GBLimits = DEFAULT_LIMITS) -> GroebnerBasis:
-    """The reduced degrevlex Groebner basis of the ideal presented by I."""
+    """The reduced degrevlex Groebner basis of the ideal presented by I.
+
+    The generators are packed on entry, the whole computation runs on
+    packed keys, and the reduced basis is unpacked on exit."""
     field, n = I.field, I.n
     q = field.q
+    top = max((g.total_degree() for g in I.generators), default=0)
+    pk = _Packing(n, max(limits.max_degree, top))
     elems: list[_Elem] = []
     pairs: dict = {}
     pair_heap: list = []
@@ -232,47 +300,44 @@ def reduced_groebner_basis(I: IdealPresentation,
     def add_element(terms: dict, sugar: int) -> bool:
         """Returns True when the unit ideal was detected."""
         terms, lm = _monic(terms, q)
-        if sum(lm) == 0:
-            elems.clear()
-            elems.append(_Elem({(0,) * n: 1}, (0,) * n, 0))
+        if pk.degree(lm) == 0:
             return True
         if len(elems) >= limits.max_basis:
             raise BudgetExceededError("basis size", limits.max_basis)
-        elems.append(_Elem(terms, lm, sugar))
-        _update_pairs(elems, pairs, pair_heap, len(elems) - 1)
+        elems.append(_Elem(terms, lm, sugar, pk))
+        _update_pairs(elems, pairs, pair_heap, len(elems) - 1, pk)
         return False
 
     unit = False
     for g in I.generators:
         if unit:
             break
-        rem, sugar = _reduce_full(g.terms, [e for e in elems if not e.redundant],
-                                  q, g.total_degree())
+        rem, sugar = _reduce_full(pk.pack_terms(g.terms),
+                                  [e for e in elems if not e.redundant],
+                                  q, g.total_degree(), pk)
         if rem:
             unit = add_element(rem, sugar)
 
     processed = 0
     while pair_heap and not unit:
-        sugar, _, i, j = heapq.heappop(pair_heap)
-        entry = pairs.pop((i, j), None)
-        if entry is None:
+        sugar, lij, i, j = heapq.heappop(pair_heap)
+        if pairs.pop((i, j), None) is None:
             continue
         processed += 1
         if processed > limits.max_pairs:
             raise BudgetExceededError("pair count", limits.max_pairs)
-        lij = entry[0]
         fi, fj = elems[i], elems[j]
         # S-polynomial of two monic elements: leading terms cancel exactly
-        spoly = add_multiple({}, fi.terms, 1, q, monomial_div(lij, fi.lm))
-        add_multiple(spoly, fj.terms, -1, q, monomial_div(lij, fj.lm))
+        di, dj = lij - fi.lm, lij - fj.lm
+        spoly = {m + di: c for m, c in fi.tail}
+        add_multiple(spoly, {m + dj: c for m, c in fj.tail}, -1, q)
         if not spoly:
             continue
         live = [e for e in elems if not e.redundant]
-        rem, rsugar = _reduce_full(spoly, live, q, entry[1])
+        rem, rsugar = _reduce_full(spoly, live, q, sugar, pk)
         if not rem:
             continue
-        lead_deg = sum(max(rem, key=drl_key))
-        if lead_deg > limits.max_degree:
+        if pk.degree(max(rem)) > limits.max_degree:
             raise BudgetExceededError("element degree", limits.max_degree)
         unit = add_element(rem, rsugar)
 
@@ -281,18 +346,15 @@ def reduced_groebner_basis(I: IdealPresentation,
 
     # minimalize: keep leads not divisible by another kept lead
     live = [e for e in elems if not e.redundant]
-    kept: list[_Elem] = []
-    for e in live:
-        if not any(o is not e and monomial_divides(o.lm, e.lm) for o in live):
-            kept.append(e)
-    # tail-interreduce: full normal form of each element against the others
+    kept = sorted((e for e in live
+                   if not any(o is not e and pk.divides(o.lm, e.lm) for o in live)),
+                  key=attrgetter("lm"))
+    # tail-interreduce: full normal form of each element against the others;
+    # no other kept lead divides e.lm, so the remainder keeps it, monic
     reduced: list[Polynomial] = []
     for e in kept:
-        others = [o for o in kept if o is not e]
-        rem, _ = _reduce_full(e.terms, others, q, e.sugar)
-        terms, _ = _monic(rem, q)
-        reduced.append(Polynomial(field, n, terms, _clean=True))
-    reduced.sort(key=lambda p: drl_key(p.leading_monomial()))
+        rem, _ = _reduce_full(e.terms, [o for o in kept if o is not e], q, e.sugar, pk)
+        reduced.append(Polynomial(field, n, pk.unpack_terms(rem), _clean=True))
     return GroebnerBasis(field, n, reduced)
 
 
@@ -302,9 +364,11 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
         raise ValueError("polynomial and basis live in different ambient rings")
     if f.is_zero:
         return f
-    elems = [_Elem(g.terms, lm, 0) for g, lm in zip(G.basis, G.leading_monomials)]
-    rem, _ = _reduce_full(f.terms, elems, f.field.q, 0)
-    return Polynomial(f.field, f.n, rem, _clean=True)
+    pk = _Packing(f.n, max(g.total_degree() for g in (f, *G.basis)))
+    elems = [_Elem(pk.pack_terms(g.terms), pk.pack(lm), 0, pk)
+             for g, lm in zip(G.basis, G.leading_monomials)]
+    rem, _ = _reduce_full(pk.pack_terms(f.terms), elems, f.field.q, 0, pk)
+    return Polynomial(f.field, f.n, pk.unpack_terms(rem), _clean=True)
 
 
 # ------------------------------------------------------------------ staircase

@@ -23,10 +23,6 @@ def drl_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
 def add_multiple(acc: dict, terms: dict, c: int, q: int,
                  shift: Monomial | None = None) -> dict:
     """acc += c * x^shift * terms over F_q, in place; returns acc.
@@ -51,10 +47,6 @@ def add_multiple(acc: dict, terms: dict, c: int, q: int,
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. every exponent of a is <= that of b."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(b: Monomial, a: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(b, a))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -188,6 +180,8 @@ class Polynomial:
 
     def shift(self, m: Monomial, c: int = 1) -> "Polynomial":
         """Multiply by the term c * x^m."""
+        if len(m) != self.n or any(e < 0 for e in m):
+            raise ValueError(f"bad monomial {m} for ambient n={self.n}")
         return Polynomial(self.field, self.n,
                           add_multiple({}, self.terms, c, self.field.q, m),
                           _clean=True)

@@ -60,6 +60,40 @@ def det_cofactor(M: PolyMatrix) -> Polynomial:
     return total
 
 
+def monomial_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def monomial_div(b, a):
+    """b / a for a | b, exponent by exponent."""
+    return tuple(x - y for x, y in zip(b, a))
+
+
+def naive_normal_form(f: Polynomial, basis) -> Polynomial:
+    """Full remainder of f on division by the monic polynomials of basis,
+    on exponent tuples: repeatedly take the degrevlex-largest term not yet
+    moved to the remainder and cancel it with the first element whose
+    leading monomial divides it.  Unique when basis is a Groebner basis."""
+    def degrevlex(m):
+        return (sum(m), [-e for e in reversed(m)])
+
+    leads = [max(g.terms, key=degrevlex) for g in basis]
+    p, remainder = f, {}
+    while not p.is_zero:
+        m = max((m for m in p.terms if m not in remainder), key=degrevlex,
+                default=None)
+        if m is None:
+            break
+        c = p.terms[m]
+        for g, lm in zip(basis, leads):
+            if all(x <= y for x, y in zip(lm, m)):
+                p = p - g.shift(monomial_div(m, lm), c)
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.field, f.n, remainder)
+
+
 def naive_evaluate(f: Polynomial, coords) -> int:
     q = f.field.q
     total = 0

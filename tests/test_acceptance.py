@@ -33,7 +33,7 @@ from polarvar.polar import (PolarSpec, incidence_fiber_dim, polar_stack,
 from polarvar.poly import Polynomial, evaluate
 
 from conftest import (brute_force_dimension, count_staircase, det_cofactor,
-                      random_poly)
+                      monomial_div, random_poly)
 
 MASTER_SEED = 20260810
 
@@ -245,7 +245,7 @@ def test_criterion_11_engine_oracles(K):
     rng = random.Random(derive_seed(MASTER_SEED, 11))
 
     # reduced-basis properties on 100 random small ideals
-    from polarvar.poly import monomial_div, monomial_divides, monomial_lcm
+    from polarvar.poly import monomial_divides, monomial_lcm
     done = 0
     while done < 100:
         n = rng.choice([2, 3])

@@ -7,16 +7,16 @@ from itertools import combinations
 import pytest
 
 from polarvar.groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
-                               IdealPresentation, degree, dimension,
+                               IdealPresentation, _Packing, degree, dimension,
                                hilbert_numerator, localize_rabinowitsch,
                                normal_form, reduced_groebner_basis,
                                is_radical_zero_dim, standard_monomial_count,
                                standard_monomials)
 from polarvar.parsing import parse_polynomial
-from polarvar.poly import (Polynomial, drl_key, monomial_div, monomial_divides,
-                           monomial_lcm)
+from polarvar.poly import Polynomial, drl_key, monomial_divides, monomial_lcm
 
-from conftest import brute_force_dimension, count_staircase, random_poly
+from conftest import (brute_force_dimension, count_staircase, monomial_div,
+                      monomial_mul, naive_normal_form, random_poly)
 
 
 def P(text, n, field):
@@ -119,6 +119,104 @@ def test_normal_form_membership_and_idempotence(K):
         f = random_poly(rng, K, 3, max_degree=4, terms=6)
         nf = normal_form(f, G)
         assert normal_form(nf, G) == nf
+
+
+def test_normal_form_against_the_tuple_oracle(K, F7):
+    rng = random.Random(131)
+    for field in (K, F7):
+        for _ in range(40):
+            n = rng.choice([2, 3, 4])
+            gens = [random_poly(rng, field, n, max_degree=3, terms=3)
+                    for _ in range(rng.choice([2, 3]))]
+            G = reduced_groebner_basis(IdealPresentation(field, n, gens))
+            for _ in range(5):
+                f = random_poly(rng, field, n, max_degree=5, terms=8)
+                assert normal_form(f, G) == naive_normal_form(f, G.basis)
+
+
+def test_packed_keys_against_the_tuple_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 7))
+        pk = _Packing(n, draw(st.integers(0, 70)))
+        top = pk.limit
+
+        def monomial(bounds):
+            return tuple(draw(st.integers(0, b)) for b in bounds)
+
+        a = monomial([top] * n)
+        b = monomial([top] * n)
+        # c keeps a * c and b * c inside the fields
+        c = monomial([top - max(x, y) for x, y in zip(a, b)])
+        return pk, a, b, c
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        pk, a, b, c = case
+        ka, kb, kc = pk.pack(a), pk.pack(b), pk.pack(c)
+        assert pk.unpack(ka) == a and pk.unpack(kb) == b
+        assert pk.degree(ka) == sum(a)
+        assert (ka < kb) == (drl_key(a) < drl_key(b))
+        assert (ka == kb) == (a == b)
+        one = pk.pack((0,) * len(a))
+        assert ka + kc - one == pk.pack(monomial_mul(a, c))
+        if ka < kb:
+            assert ka + kc < kb + kc
+        assert pk.divides(ka, kb) == monomial_divides(a, b)
+        assert pk.divides(ka, pk.pack(monomial_mul(a, c)))
+
+    check()
+
+
+def test_field_width_holds_twice_the_degree():
+    for d in range(0, 130):
+        limit = _Packing(3, d).limit
+        assert 2 * d <= limit < 4 * d + 2
+    # the tightest widths: the field's largest exponent is 2d + 1
+    assert _Packing(2, 3).limit == 7 and _Packing(2, 7).limit == 15
+
+
+def test_generator_above_the_degree_limit(K):
+    # fields sized for max_degree = 60 alone would hold exponents up to 127;
+    # the S-polynomial x1^199 - x2 needs 199
+    assert [str(g) for g in gb_of(K, 2, ["x1^200 - x2", "x1 - 1"]).basis] == [
+        "x2 - 1", "x1 - 1"]
+    assert [str(g) for g in gb_of(K, 2, ["x1^200 - x2", "x2^2 - 1"]).basis] == [
+        "x2^2 - 1", "x1^200 - x2"]
+    with pytest.raises(BudgetExceededError) as err:
+        gb_of(K, 2, ["x1^200 - x2", "x1*x2 - 1"])
+    assert (err.value.kind, err.value.limit) == ("element degree", 60)
+
+
+def test_normal_form_width_covers_f_and_the_basis(K):
+    high = gb_of(K, 2, ["x1^200 - x2", "x2^2 - 1"])
+    low = gb_of(K, 2, ["x1^2 - x2", "x2^3 - 1"])
+    # fields sized for f alone would not hold the leads of `high`, nor
+    # fields sized for the basis alone the terms of x1^300*x2
+    for G, text in [(high, "x1^3*x2 + x2^3 + x1"), (high, "x1^201 + x2"),
+                    (high, "x2 + 1"), (low, "x1^300*x2 + x1"), (low, "x1^2")]:
+        f = P(text, 2, K)
+        assert normal_form(f, G) == naive_normal_form(f, G.basis)
+
+
+def test_spolynomial_at_the_field_width_boundary(K):
+    # with max_degree = 3 a field holds exponents up to 7; the S-polynomial
+    # x2^2 f - x1^2 g = x2^5 - x1^2*x2^3 - x2^2 reaches 2d - 1 in x2
+    f, g = P("x1^3 + x2^3 - 1", 2, K), P("x1*x2^2 + x2^3", 2, K)
+    assert spolynomial(f, g) == P("x2^5 - x1^2*x2^3 - x2^2", 2, K)
+    narrow = reduced_groebner_basis(IdealPresentation(K, 2, [f, g]),
+                                    GBLimits(max_degree=3))
+    assert [str(h) for h in narrow.basis] == ["x2^2", "x1^3 - 1"]
+    assert narrow.basis == reduced_groebner_basis(IdealPresentation(K, 2, [f, g])).basis
+    assert_is_reduced_gb(narrow)
+    with pytest.raises(BudgetExceededError) as err:
+        gb_of(K, 2, ["x1^3 + x2^3", "x1*x2^2 + x2^3 - 1"], GBLimits(max_degree=3))
+    assert (err.value.kind, err.value.limit) == ("element degree", 3)
 
 
 def test_dimension_examples(K):

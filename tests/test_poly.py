@@ -6,9 +6,9 @@ import pytest
 
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import (Point, Polynomial, add_multiple, differentiate, drl_key,
-                           evaluate, monomial_mul)
+                           evaluate)
 
-from conftest import naive_evaluate, random_poly
+from conftest import monomial_mul, naive_evaluate, random_poly
 
 
 def P(text, n, field):
@@ -103,6 +103,14 @@ def test_ring_laws_on_random_triples(K):
         assert f * g == g * f
         assert f * (g + h) == f * g + f * h
         assert f * g == expand_product_oracle(f, g)
+
+
+def test_shift_rejects_bad_monomials(F7):
+    f = P("x1+x2", 2, F7)
+    for m in [(1,), (1, 0, 5), (1, -1), (-1, 0)]:
+        with pytest.raises(ValueError):
+            f.shift(m)
+    assert f.shift((1, 0)) == P("x1^2 + x1*x2", 2, F7)
 
 
 def test_ambient_mismatch_is_an_error(K):
