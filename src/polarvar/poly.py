@@ -178,14 +178,6 @@ class Polynomial:
             return self
         return self.scale(self.field.inv(self.leading_coefficient()))
 
-    def shift(self, m: Monomial, c: int = 1) -> "Polynomial":
-        """Multiply by the term c * x^m."""
-        if len(m) != self.n or any(e < 0 for e in m):
-            raise ValueError(f"bad monomial {m} for ambient n={self.n}")
-        return Polynomial(self.field, self.n,
-                          add_multiple({}, self.terms, c, self.field.q, m),
-                          _clean=True)
-
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")

@@ -14,7 +14,7 @@ import pytest
 
 from polarvar.field import PrimeField
 from polarvar.matrices import ConstMatrix, PolyMatrix
-from polarvar.poly import Polynomial, monomial_divides
+from polarvar.poly import Polynomial, add_multiple, monomial_divides
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +69,11 @@ def monomial_div(b, a):
     return tuple(x - y for x, y in zip(b, a))
 
 
+def shift(f: Polynomial, m, c: int = 1) -> Polynomial:
+    """The product c * x^m * f."""
+    return Polynomial(f.field, f.n, add_multiple({}, f.terms, c, f.field.q, m))
+
+
 def naive_normal_form(f: Polynomial, basis) -> Polynomial:
     """Full remainder of f on division by the monic polynomials of basis,
     on exponent tuples: repeatedly take the degrevlex-largest term not yet
@@ -87,7 +92,7 @@ def naive_normal_form(f: Polynomial, basis) -> Polynomial:
         c = p.terms[m]
         for g, lm in zip(basis, leads):
             if all(x <= y for x, y in zip(lm, m)):
-                p = p - g.shift(monomial_div(m, lm), c)
+                p = p - shift(g, monomial_div(m, lm), c)
                 break
         else:
             remainder[m] = c

@@ -1,15 +1,15 @@
 """Paired benchmark runs: a parent revision against the working tree.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_N.json \\
-        --workload delta_n6:10:41 --workload points_f7:4:59 [--seconds S]
+        --workload delta_n6:10:41 --workload points_f7:4:59
 
 Run from anywhere inside a git checkout.  REV is exported with `git archive`
 into a temporary directory.  Each `--workload NAME:K:FIRST` runs
 `perfbench/run.py --workload NAME --seed s --seconds S --trace 0` on the
 parent and on the working tree for the K seeds FIRST, FIRST + 1, ..., the
 side that goes first alternating from pair to pair, and then one
-`--trace 1` run per side at the default seed.  S defaults to the run length
-that BENCHMARK.json declares.  The output file holds every run, each side's
+`--trace 1` run per side at the default seed.  S is the run length that
+BENCHMARK.json declares.  The output file holds every run, each side's
 median and quartiles per end-to-end metric of BENCHMARK.json, how many pairs
 the working tree won, and the work counters and busy times of both traced
 runs.
@@ -118,13 +118,11 @@ def main() -> int:
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--workload", action="append", required=True, type=parse_workload,
                     help="NAME:PAIRS:FIRST_SEED, repeatable")
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="length of each run (default: run_seconds of BENCHMARK.json)")
     args = ap.parse_args()
     root = git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         catalogue = json.load(fh)
-    seconds = args.seconds or catalogue["run_seconds"]
+    seconds = catalogue["run_seconds"]
     parent = git(root, "rev-parse", "--short", args.parent).decode().strip()
     out = {
         "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
