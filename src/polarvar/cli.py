@@ -18,14 +18,15 @@ from .experiment import MODE_DELTA, MODE_FULL, run_grid, summarize_grid
 from .families import (FamilyDrawError, build_family_31, degree_domination_check,
                         example2_chain, verify_singular_witness)
 from .field import DEFAULT_PRIME, PrimeField
-from .groebner import (BudgetExceededError, GBLimits, IdealPresentation,
-                       degree, dimension, reduced_groebner_basis)
+from .groebner import (DEFAULT_LIMITS, BudgetExceededError, GBLimits,
+                       IdealPresentation, degree, dimension,
+                       reduced_groebner_basis)
 from .matrices import ConstMatrix
 from .parsing import ParseError, parse_system
-from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarSpec,
-                    PolarSpecError, PointClassificationError, delta_ideal,
-                    incidence_fiber_dim, polar_ideal, polar_singular_dim,
-                    thom_boardman_class)
+from .polar import (CLASSIC, DEFAULT_MINOR_CAP, DUAL, MinorCapExceededError,
+                    PolarSpec, PolarSpecError, PointClassificationError,
+                    delta_ideal, incidence_fiber_dim, polar_ideal,
+                    polar_singular_dim, thom_boardman_class)
 from .poly import Point, Polynomial
 
 EXIT_OK = 0
@@ -325,11 +326,11 @@ def _add_common(sp, system=True, matrix=False, polar=False):
     sp.add_argument("--prime", type=int, default=None,
                     help="field modulus (default: POLAR_PRIME or 10000000019)")
     sp.add_argument("--json", action="store_true", help="JSON output")
-    sp.add_argument("--max-pairs", type=int, default=200_000,
+    sp.add_argument("--max-pairs", type=int, default=DEFAULT_LIMITS.max_pairs,
                     help="Buchberger pair budget")
-    sp.add_argument("--max-basis", type=int, default=3_000,
+    sp.add_argument("--max-basis", type=int, default=DEFAULT_LIMITS.max_basis,
                     help="Buchberger basis-size budget")
-    sp.add_argument("--max-degree", type=int, default=60,
+    sp.add_argument("--max-degree", type=int, default=DEFAULT_LIMITS.max_degree,
                     help="Buchberger element-degree budget")
     if system:
         sp.add_argument("--system", required=True,
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("singular", help="singular locus of a polar variety")
     _add_common(sp, matrix=True, polar=True)
-    sp.add_argument("--minor-cap", type=int, default=20_000)
+    sp.add_argument("--minor-cap", type=int, default=DEFAULT_MINOR_CAP)
     sp.set_defaults(func=cmd_singular)
 
     sp = sub.add_parser("tb", help="projection kernel dimension at a point")
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--master-seed", type=int, default=0)
     sp.add_argument("--p-max", type=int, default=None,
                     help="skip cells with p above this bound")
-    sp.add_argument("--minor-cap", type=int, default=20_000)
+    sp.add_argument("--minor-cap", type=int, default=DEFAULT_MINOR_CAP)
     sp.add_argument("--out", help="write JSON-lines records to this path")
     sp.add_argument("--timings", action="store_true",
                     help="include measured elapsed_ms (breaks byte-level "

@@ -31,9 +31,9 @@ from .field import DEFAULT_PRIME, PrimeField
 from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
 from .matrices import ConstMatrix, jacobian_at, system_ring
 from .poly import Point, Polynomial
-from .polar import (CLASSIC, DUAL, PolarSpec, SmoothnessReport, delta_ideal,
-                    polar_ideal, polar_singular_dim,
-                    verify_smooth_complete_intersection)
+from .polar import (CLASSIC, DEFAULT_MINOR_CAP, DUAL, PolarSpec,
+                    SmoothnessReport, delta_ideal, polar_ideal,
+                    polar_singular_dim, verify_smooth_complete_intersection)
 
 MODE_FULL = "full"
 MODE_DELTA = "delta"
@@ -44,6 +44,7 @@ REDRAW_BUDGET = 5  # redraws a cell may spend on singular or non-generic draws
 _SYSTEM_ATTEMPTS = 20  # draws random_smooth_system tries
 _DRAW_CACHE_SIZE = 64  # memoised draws; a grid needs REDRAW_BUDGET + 1 at once
 ENUMERATION_LIMIT = 10**7  # largest q^n sample_points_small_field scans
+DENSE_DEGREE = 2  # total degree of the random_dense_poly draws: quadrics
 
 
 def derive_seed(*parts: int) -> int:
@@ -66,13 +67,12 @@ def expected_singular_dim(n: int, p: int, i: int) -> int:
     return max(-1, n - p - (2 * i + 2))
 
 
-def random_dense_poly(rng: random.Random, field: PrimeField, n: int,
-                      degree: int = 2) -> Polynomial:
-    """Uniform coefficients on every monomial of total degree <= degree."""
+def random_dense_poly(rng: random.Random, field: PrimeField, n: int) -> Polynomial:
+    """Uniform coefficients on every monomial of total degree <= DENSE_DEGREE."""
     q = field.q
     terms: dict[tuple[int, ...], int] = {}
-    for m in product(range(degree + 1), repeat=n):
-        if sum(m) <= degree:
+    for m in product(range(DENSE_DEGREE + 1), repeat=n):
+        if sum(m) <= DENSE_DEGREE:
             c = rng.randrange(q)
             if c:
                 terms[m] = c
@@ -163,7 +163,7 @@ class CellResult:
 
 
 def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
-             minor_cap: int = 20_000) -> CellResult:
+             minor_cap: int = DEFAULT_MINOR_CAP) -> CellResult:
     n, p, i = spec.n, spec.p, spec.i
     expected = expected_singular_dim(n, p, i)
     start = time.monotonic()
@@ -227,7 +227,7 @@ def run_grid(nmax: int, seeds: int = 1, mode: str = MODE_FULL,
              flavor: str = CLASSIC, prime: int = DEFAULT_PRIME,
              master_seed: int = 0, limits: GBLimits = DEFAULT_LIMITS,
              p_max: int | None = None,
-             minor_cap: int = 20_000) -> list[CellResult]:
+             minor_cap: int = DEFAULT_MINOR_CAP) -> list[CellResult]:
     """All triples up to nmax, `seeds` independent draws each; the quadric
     system and matrix derive from (master, n, p, seed index) only, so cells
     that differ in i alone share them.  The cells of one draw run back to

@@ -34,9 +34,13 @@ from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
                        jacobian, jacobian_at, system_ring)
 from .poly import Point, Polynomial, differentiate, evaluate
 from .polar import (CLASSIC, PolarIdealResult, PolarSpec, PolarSpecError,
-                    analyze_ideal, polar_generators,
+                    analyze_ideal, polar_generators, polar_stack,
                     singular_locus_dim, singular_locus_generators,
                     verify_smooth_complete_intersection)
+
+_POINT_TRIES = 64  # draws _point_with_nonzero_leads tries per basis
+CHAIN_MINOR_CAP = 50_000  # minor cap of example2_chain's smoothness checks
+STRUCTURED_DRAWS = 3  # draws per structured family in degree_domination_check
 
 
 class FamilyDrawError(RuntimeError):
@@ -59,10 +63,6 @@ class Family31Instance:
     F1: Polynomial
     F2: Polynomial
     xi: Point
-
-    def stacked_matrix(self) -> PolyMatrix:
-        """The n x n matrix [J(F1,F2); a]."""
-        return jacobian([self.F1, self.F2]).stack(self.a.to_poly_matrix(self.n))
 
 
 def _diagonal_quadric(field: PrimeField, n: int, coeffs: Sequence[int],
@@ -131,11 +131,10 @@ def build_family_31(n: int, seed: int, field: PrimeField | None = None,
 
 
 def _point_with_nonzero_leads(rng: random.Random, field: PrimeField,
-                              basis: list[tuple[int, ...]],
-                              tries: int = 64) -> tuple[int, ...] | None:
+                              basis: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     q = field.q
     n = len(basis[0])
-    for _ in range(tries):
+    for _ in range(_POINT_TRIES):
         coeffs = [rng.randrange(q) for _ in basis]
         x = [0] * n
         for t, v in zip(coeffs, basis):
@@ -174,7 +173,7 @@ class WitnessReport:
 
 def verify_singular_witness(inst: Family31Instance) -> WitnessReport:
     field, n = inst.field, inst.n
-    N = inst.stacked_matrix()
+    N = polar_stack(polar_spec_31(inst))
     detN = determinant_division_free(N)
     xi = inst.xi
     failures: list[str] = []
@@ -200,10 +199,9 @@ def verify_singular_witness(inst: Family31Instance) -> WitnessReport:
     if not identity_ok:
         failures.append("cofactor form of the determinant derivative fails")
 
-    J3 = jacobian_at([inst.F1, inst.F2, detN], xi)
-    J2 = jacobian_at([inst.F1, inst.F2], xi)
-    rank3 = J3.rank()
-    rank_ok = rank3 == 2 and J2.rank() == 2
+    # one reduction of J(F1, F2, det)(xi) gives rank J(F1, F2) as a prefix rank
+    rank2, rank3 = jacobian_at([inst.F1, inst.F2, detN], xi).row_ranks()[1:]
+    rank_ok = rank3 == 2 and rank2 == 2
     if not rank_ok:
         failures.append(f"stacked Jacobian rank at xi is {rank3}, wanted 2")
 
@@ -265,8 +263,8 @@ def transform_matrix_symbolic(field: PrimeField, n: int, p: int) -> PolyMatrix:
 
 
 def unitriangular_inverse(M: PolyMatrix) -> PolyMatrix:
-    """Exact inverse of a unit lower-triangular polynomial matrix via the
-    terminating Neumann series of its strictly lower part."""
+    """Exact inverse of a unit lower-triangular polynomial matrix by forward
+    substitution: row i of the inverse is e_i - sum_{k<i} M[i,k] * row k."""
     n_amb = M.n
     field = M.field
     size = M.rows
@@ -279,25 +277,15 @@ def unitriangular_inverse(M: PolyMatrix) -> PolyMatrix:
                 raise ValueError("diagonal must be identically one")
             if j > i and not e.is_zero:
                 raise ValueError("matrix must be lower triangular")
-    L = [[-M[i, j] if j < i else zero for j in range(size)] for i in range(size)]
-    acc = [[one if i == j else zero for j in range(size)] for i in range(size)]
-    term = [row[:] for row in acc]
-    for _ in range(size - 1):
-        nxt = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            for k in range(size):
-                t = term[i][k]
-                if t.is_zero:
-                    continue
-                for j in range(size):
-                    if not L[k][j].is_zero:
-                        nxt[i][j] = nxt[i][j] + t * L[k][j]
-        term = nxt
-        for i in range(size):
-            for j in range(size):
-                if not term[i][j].is_zero:
-                    acc[i][j] = acc[i][j] + term[i][j]
-    return PolyMatrix(acc)
+    inv: list[list[Polynomial]] = []
+    for i in range(size):
+        row = [one if j == i else zero for j in range(size)]
+        for k in range(i):
+            m = M[i, k]
+            if not m.is_zero:
+                row = [r - m * b for r, b in zip(row, inv[k])]
+        inv.append(row)
+    return PolyMatrix(inv)
 
 
 @dataclass
@@ -320,9 +308,9 @@ def example1_transform(n: int, p: int, i: int, z: Sequence[int],
     if not (1 <= p <= n - 1 and 1 <= i <= n - p):
         raise PolarSpecError(f"bad parameters (n, p, i) = ({n}, {p}, {i})")
     A = transform_matrix(field, n, p, z)
-    Ainv = A.inverse()
-    rows = range(p + i - 1, n)
-    B = Ainv.submatrix(rows, range(n))
+    Ainv = unitriangular_inverse(A.to_poly_matrix(0))
+    B = ConstMatrix(field, [[e.coefficient(()) for e in Ainv.row(r)]
+                            for r in range(p + i - 1, n)])
     prod = B.matmul(A)
     k = n - p - i + 1
     for r in range(k):
@@ -383,8 +371,7 @@ class ChainReport:
 
 
 def example2_chain(F: Sequence[Polynomial], gamma: Sequence[int],
-                   limits: GBLimits = DEFAULT_LIMITS,
-                   minor_cap: int = 50_000) -> ChainReport:
+                   limits: GBLimits = DEFAULT_LIMITS) -> ChainReport:
     """Localized dual chain for B_(i,gamma), i = 1 .. n-p.
 
     Each level is the dual polar ideal localized away from the corner
@@ -407,7 +394,7 @@ def example2_chain(F: Sequence[Polynomial], gamma: Sequence[int],
         res = analyze_ideal(field, n + 1, p, loc.generators, limits)
         smooth = True
         if res.dim >= 0:
-            smooth = singular_locus_dim(res, limits, cap=minor_cap)[0] < 0
+            smooth = singular_locus_dim(res, limits, cap=CHAIN_MINOR_CAP)[0] < 0
         levels.append(ChainLevel(i=i, dim=res.dim, degree=res.degree,
                                  smooth=smooth))
         gens_by_level.append(loc.generators)
@@ -469,7 +456,6 @@ class DegreeReport:
 
 def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
                             seed: int, flavor: str = CLASSIC,
-                            structured_draws: int = 3,
                             limits: GBLimits = DEFAULT_LIMITS) -> DegreeReport:
     """Degrees of `trials` random draws (the generic proxy) against draws
     from the structured families; empty varieties count as degree zero."""
@@ -492,13 +478,13 @@ def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
 
     structured: dict[str, list[int]] = {"transform_rows": [], "gamma_row": []}
     s = parameter_count(n, p)
-    for _ in range(structured_draws):
+    for _ in range(STRUCTURED_DRAWS):
         z = [rng.randrange(field.q) for _ in range(s)]
         B = example1_transform(n, p, i, z, field).B
         structured["transform_rows"].append(polar_degree(B))
     # the dual gamma rows carry one offset, on the last row only
     col0 = None if flavor == CLASSIC else [0] * (rows - 1) + [1]
-    for _ in range(structured_draws):
+    for _ in range(STRUCTURED_DRAWS):
         gamma = [rng.randrange(1, field.q) for _ in range(n)]
         B = example2_matrix(field, n, p, i, gamma)
         structured["gamma_row"].append(polar_degree(B, col0))

@@ -3,8 +3,9 @@
 Covers the linear-algebra layer the polar constructions sit on: Jacobian
 assembly and evaluation at a point, division-free symbolic determinants and
 streaming minor enumeration (both by one memoised Laplace expansion, minors
-in a fixed lexicographic subset order), and numeric rank of an evaluated
-matrix via Gaussian elimination over the prime field.
+in a fixed lexicographic subset order), and one row reduction of an
+evaluated matrix over the prime field, which gives its rank, the rank of
+every prefix of its rows and its null space.
 """
 
 from __future__ import annotations
@@ -56,76 +57,54 @@ class ConstMatrix:
                         for j in range(other.cols)])
         return ConstMatrix(self.field, out)
 
-    def _echelon(self) -> tuple[list[list[int]], int]:
-        """Row echelon form; returns (matrix, rank)."""
+    def _echelon(self) -> tuple[list[tuple[int, list[int]]], list[int]]:
+        """Reduce the rows in order against the earlier pivot rows; returns
+        the pivot rows as (pivot column, monic row), each zero at the pivot
+        columns before it, and the rank after each prefix of rows."""
         q = self.field.q
-        a = [list(r) for r in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if a[r][col]), None)
-            if pivot is None:
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            inv = pow(a[rank][col], -1, q)
-            for r in range(rank + 1, self.rows):
-                if a[r][col]:
-                    factor = a[r][col] * inv % q
-                    a[r] = [(x - factor * y) % q for x, y in zip(a[r], a[rank])]
-            rank += 1
-            if rank == self.rows:
-                break
-        return a, rank
+        pivots: list[tuple[int, list[int]]] = []
+        ranks: list[int] = []
+        for row in self.entries:
+            v = list(row)
+            for col, pr in pivots:
+                f = v[col]
+                if f:
+                    v = [(x - f * y) % q for x, y in zip(v, pr)]
+            lead = next((j for j, x in enumerate(v) if x), None)
+            if lead is not None:
+                inv = pow(v[lead], -1, q)
+                pivots.append((lead, [x * inv % q for x in v]))
+            ranks.append(len(pivots))
+        return pivots, ranks
 
     def rank(self) -> int:
-        return self._echelon()[1]
+        return self._echelon()[1][-1]
 
-    def inverse(self) -> "ConstMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        q = self.field.q
-        size = self.rows
-        a = [list(r) + [1 if j == i else 0 for j in range(size)]
-             for i, r in enumerate(self.entries)]
-        for col in range(size):
-            pivot = next((r for r in range(col, size) if a[r][col]), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = pow(a[col][col], -1, q)
-            a[col] = [x * inv % q for x in a[col]]
-            for r in range(size):
-                if r != col and a[r][col]:
-                    factor = a[r][col]
-                    a[r] = [(x - factor * y) % q for x, y in zip(a[r], a[col])]
-        return ConstMatrix(self.field, [row[size:] for row in a])
+    def row_ranks(self) -> tuple[int, ...]:
+        """Entry k is the rank of the first k + 1 rows."""
+        return tuple(self._echelon()[1])
 
     def nullspace_basis(self) -> list[tuple[int, ...]]:
-        """Basis of {v : A v = 0} as row vectors."""
+        """Basis of {v : A v = 0} as row vectors: one per free column, with
+        1 there and 0 at the other free columns."""
         q = self.field.q
-        a, rank = self._echelon()
-        # back-substitute to reduced form
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for col in range(self.cols):
-            if r < rank and a[r][col]:
-                pivots.append((r, col))
-                r += 1
-        for r, col in reversed(pivots):
-            inv = pow(a[r][col], -1, q)
-            a[r] = [x * inv % q for x in a[r]]
-            for r2 in range(r):
-                if a[r2][col]:
-                    factor = a[r2][col]
-                    a[r2] = [(x - factor * y) % q for x, y in zip(a[r2], a[r])]
-        pivot_cols = {col for _, col in pivots}
+        pivots = self._echelon()[0]
+        # back-substitute, so each pivot row is zero at every other pivot column
+        for k in range(len(pivots) - 1, 0, -1):
+            col, pr = pivots[k]
+            for _, pj in pivots[:k]:
+                f = pj[col]
+                if f:
+                    pj[:] = [(x - f * y) % q for x, y in zip(pj, pr)]
+        pivot_cols = {col for col, _ in pivots}
         basis = []
         for free in range(self.cols):
             if free in pivot_cols:
                 continue
             v = [0] * self.cols
             v[free] = 1
-            for r, col in pivots:
-                v[col] = (-a[r][free]) % q
+            for col, pr in pivots:
+                v[col] = (-pr[free]) % q
             basis.append(tuple(v))
         return basis
 

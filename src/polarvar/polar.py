@@ -293,8 +293,9 @@ def verify_smooth_complete_intersection(F: Sequence[Polynomial],
 
 def thom_boardman_class(F: Sequence[Polynomial], a: ConstMatrix, x) -> int:
     """Kernel dimension j of the projection differential at a regular point:
-    j = n - rank of the evaluated stack [J(F)(x); a].  Raises
-    PointClassificationError when x is off V(F) or singular on it."""
+    j = n - rank of the evaluated stack [J(F)(x); a], whose first p rows
+    have rank p exactly when x is regular.  Raises PointClassificationError
+    when x is off V(F) or singular on it."""
     if not F:
         raise PolarSpecError("empty system")
     field, n = system_ring(F)
@@ -305,11 +306,11 @@ def thom_boardman_class(F: Sequence[Polynomial], a: ConstMatrix, x) -> int:
     coords = as_coordinates(field, x)
     if any(evaluate(f, coords) for f in F):
         raise PointClassificationError("point does not lie on the variety")
-    Jx = jacobian_at(F, coords)
-    if Jx.rank() != len(F):
+    stacked = ConstMatrix(field, jacobian_at(F, coords).entries + a.entries)
+    ranks = stacked.row_ranks()
+    if ranks[len(F) - 1] != len(F):
         raise PointClassificationError("point is singular on the variety")
-    stacked = ConstMatrix(field, list(Jx.entries) + list(a.entries))
-    return n - stacked.rank()
+    return n - ranks[-1]
 
 
 def incidence_fiber_dim(F: Sequence[Polynomial], a: ConstMatrix, x, i: int) -> int:

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from polarvar.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, dispatch
+from polarvar.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _limits,
+                          build_parser, dispatch)
+from polarvar.groebner import DEFAULT_LIMITS
+from polarvar.polar import DEFAULT_MINOR_CAP
 
 
 @pytest.fixture()
@@ -174,6 +177,16 @@ def test_missing_file_exits_two(capsys):
 
 def test_unknown_subcommand_exits_two(capsys):
     assert dispatch(["frobnicate"]) == EXIT_INPUT
+
+
+def test_budget_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    for argv in (["experiment", "--nmax", "2"],
+                 ["singular", "--system", "s.txt", "--matrix", "a.json",
+                  "--i", "1"]):
+        args = parser.parse_args(argv)
+        assert _limits(args) == DEFAULT_LIMITS
+        assert args.minor_cap == DEFAULT_MINOR_CAP
 
 
 def test_budget_exit_code(tmp_path, capsys):

@@ -12,7 +12,7 @@ from polarvar.families import (FamilyDrawError, build_family_31, corner_minor,
                                unitriangular_inverse, verify_singular_witness)
 from polarvar.matrices import ConstMatrix, PolyMatrix
 from polarvar.parsing import parse_polynomial
-from polarvar.polar import PolarSpecError, polar_ideal
+from polarvar.polar import PolarSpecError, polar_ideal, polar_stack
 from polarvar.poly import Polynomial, evaluate
 from polarvar.experiment import random_smooth_system
 
@@ -80,7 +80,7 @@ def test_determinant_derivative_identity_on_twenty_instances(K):
     from polarvar.poly import differentiate
     for seed in range(20):
         inst = build_family_31(6, seed=1000 + seed, field=K)
-        N = inst.stacked_matrix()
+        N = polar_stack(polar_spec_31(inst))
         detN = determinant_division_free(N)
         for j in range(1, 7):
             lhs = differentiate(detN, j)
@@ -117,6 +117,37 @@ def test_transform_identity_holds_symbolically(K):
                 entry = entry + B[r, k] * A[k, c]
             want = 1 if c == p + r else 0
             assert entry == Polynomial.constant(K, A.n, want)
+
+
+def test_unitriangular_inverse_is_an_inverse_property(F7):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def unit_lower_triangular(draw):
+        n = draw(st.sampled_from([0, 2]))
+        size = draw(st.integers(1, 5))
+        term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(0, 6))
+        one, zero = Polynomial.constant(F7, n, 1), Polynomial.zero(F7, n)
+        return PolyMatrix([
+            [one if j == i else zero if j > i
+             else Polynomial(F7, n, dict(draw(st.lists(term, max_size=3))))
+             for j in range(size)] for i in range(size)])
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(unit_lower_triangular())
+    def check(M):
+        inv = unitriangular_inverse(M)
+        size, zero = M.rows, Polynomial.zero(F7, M.n)
+        for i in range(size):
+            for j in range(size):
+                entry = zero
+                for k in range(size):
+                    entry = entry + M[i, k] * inv[k, j]
+                assert entry == Polynomial.constant(F7, M.n, int(i == j))
+
+    check()
 
 
 def test_transform_parameter_count_checked(K):

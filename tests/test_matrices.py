@@ -230,15 +230,7 @@ def test_stacked_rank_at_least_constant_rank(K):
         assert evaluate_matrix(stacked, x).rank() >= a.rank()
 
 
-def test_const_matrix_inverse_and_nullspace(K):
-    rng = random.Random(73)
-    A = ConstMatrix(K, [[rng.randrange(K.q) for _ in range(4)] for _ in range(4)])
-    while A.rank() < 4:
-        A = ConstMatrix(K, [[rng.randrange(K.q) for _ in range(4)]
-                            for _ in range(4)])
-    I = A.matmul(A.inverse())
-    assert I.entries == tuple(tuple(1 if i == j else 0 for j in range(4))
-                              for i in range(4))
+def test_const_matrix_nullspace(K):
     B = ConstMatrix(K, [[1, 2, 3], [2, 4, 6]])  # rank 1
     assert B.rank() == 1
     basis = B.nullspace_basis()
@@ -246,6 +238,80 @@ def test_const_matrix_inverse_and_nullspace(K):
     for v in basis:
         assert all(sum(r[j] * v[j] for j in range(3)) % K.q == 0
                    for r in B.entries)
+
+
+def oracle_rank(M: ConstMatrix) -> int:
+    """Largest r with a nonzero r-minor, each minor by cofactor expansion."""
+    P = M.to_poly_matrix(0)
+    for r in range(min(M.rows, M.cols), 0, -1):
+        for rows in combinations(range(M.rows), r):
+            for cols in combinations(range(M.cols), r):
+                if not det_cofactor(P.submatrix(rows, cols)).is_zero:
+                    return r
+    return 0
+
+
+def small_field_matrices():
+    """Matrices over F_5 and F_7 of up to 5 x 5 in which some rows are
+    combinations of the rows before them, so prefix ranks stall."""
+    st = pytest.importorskip("hypothesis").strategies
+
+    @st.composite
+    def matrices(draw):
+        field = PrimeField(draw(st.sampled_from([5, 7])))
+        q, cols = field.q, draw(st.integers(1, 5))
+        rows: list[list[int]] = []
+        for _ in range(draw(st.integers(1, 5))):
+            if rows and draw(st.booleans()):
+                coeffs = draw(st.lists(st.integers(0, q - 1), min_size=len(rows),
+                                       max_size=len(rows)))
+                rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) % q
+                             for j in range(cols)])
+            else:
+                rows.append(draw(st.lists(st.integers(0, q - 1), min_size=cols,
+                                          max_size=cols)))
+        return ConstMatrix(field, rows)
+
+    return matrices()
+
+
+def test_row_ranks_are_prefix_minor_ranks_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(small_field_matrices())
+    def check(M):
+        ranks = M.row_ranks()
+        assert len(ranks) == M.rows
+        for k in range(1, M.rows + 1):
+            assert ranks[k - 1] == oracle_rank(M.submatrix(range(k), range(M.cols)))
+        assert M.rank() == ranks[-1]
+
+    check()
+
+
+def test_nullspace_basis_is_the_canonical_basis_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(small_field_matrices())
+    def check(M):
+        q = M.field.q
+        # column j is free when it does not raise the rank of the columns
+        # before it; the canonical basis has one vector per free column
+        col_ranks = [0] + [oracle_rank(M.submatrix(range(M.rows), range(j + 1)))
+                           for j in range(M.cols)]
+        free = [j for j in range(M.cols) if col_ranks[j + 1] == col_ranks[j]]
+        basis = M.nullspace_basis()
+        assert len(basis) == M.cols - col_ranks[-1] == len(free)
+        for v, f in zip(basis, free):
+            assert all(sum(x * y for x, y in zip(r, v)) % q == 0
+                       for r in M.entries)
+            assert [v[g] for g in free] == [int(g == f) for g in free]
+
+    check()
 
 
 def test_const_matrix_shape_errors(K):
