@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .field import PrimeField
-from .poly import Point, Polynomial, add_multiple, as_coordinates, differentiate
+from .poly import Point, Polynomial, add_multiple, differentiate, point_values
 
 
 class ConstMatrix:
@@ -183,29 +183,9 @@ def jacobian(F: Sequence[Polynomial]) -> PolyMatrix:
 
 
 def jacobian_at(F: Sequence[Polynomial], x: Point | Sequence[int]) -> ConstMatrix:
-    """jacobian(F) evaluated at x, read off the terms of each F_k without
-    building the partials: the term c * x^m adds c * m_j * x^m / x_j to
-    entry j.  One table of coordinate powers serves every term."""
-    field, n = system_ring(F)
-    coords = as_coordinates(field, x)
-    if len(coords) != n:
-        raise ValueError(f"point has {len(coords)} coordinates, ambient n={n}")
-    q = field.q
-    top = max(f.total_degree() for f in F)
-    powers = [[pow(v, e, q) for e in range(top + 1)] for v in coords]
-    rows = []
-    for f in F:
-        row = [0] * n
-        for m, c in f.terms.items():
-            support = [(j, e) for j, e in enumerate(m) if e]
-            for j, e in support:
-                v = c * e * powers[j][e - 1]
-                for k, ek in support:
-                    if k != j:
-                        v *= powers[k][ek]
-                row[j] += v
-        rows.append(row)
-    return ConstMatrix(field, rows)
+    """jacobian(F) evaluated at x, from the gradient plans cached on each F_k
+    without building the partials."""
+    return ConstMatrix(system_ring(F)[0], point_values(F, x, value=False, gradient=True))
 
 
 MAX_DET_SIZE = 12

@@ -30,8 +30,8 @@ from .groebner import (DEFAULT_LIMITS, GBLimits, GroebnerBasis, IdealPresentatio
                        degree, dimension, is_radical_zero_dim,
                        reduced_groebner_basis)
 from .matrices import (ConstMatrix, PolyMatrix, enumerate_minors, jacobian,
-                       jacobian_at, minor_count, system_ring)
-from .poly import Polynomial, as_coordinates, evaluate
+                       minor_count, system_ring)
+from .poly import Polynomial, point_values
 
 CLASSIC = "classic"
 DUAL = "dual"
@@ -303,10 +303,10 @@ def thom_boardman_class(F: Sequence[Polynomial], a: ConstMatrix, x) -> int:
         raise PolarSpecError("matrix must have one column per variable")
     if a.field != field:
         raise PolarSpecError("matrix lives in a different field than the system")
-    coords = as_coordinates(field, x)
-    if any(evaluate(f, coords) for f in F):
+    rows = point_values(F, x, gradient=True)
+    if any(row[0] for row in rows):
         raise PointClassificationError("point does not lie on the variety")
-    stacked = ConstMatrix(field, jacobian_at(F, coords).entries + a.entries)
+    stacked = ConstMatrix(field, [row[1:] for row in rows] + list(a.entries))
     ranks = stacked.row_ranks()
     if ranks[len(F) - 1] != len(F):
         raise PointClassificationError("point is singular on the variety")

@@ -56,7 +56,7 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 class Polynomial:
     """Immutable sparse polynomial over a PrimeField in n variables."""
 
-    __slots__ = ("field", "n", "terms", "_lead")
+    __slots__ = ("field", "n", "terms", "_lead", "_plan")
 
     def __init__(self, field: PrimeField, n: int, terms: dict[Monomial, int] | None = None,
                  _clean: bool = False):
@@ -78,6 +78,7 @@ class Polynomial:
             terms = cleaned
         self.terms = terms
         self._lead: Monomial | None = None
+        self._plan: list | None = None
 
     # ---------------------------------------------------------------- builders
 
@@ -296,23 +297,61 @@ def differentiate(f: Polynomial, j: int) -> Polynomial:
     return Polynomial(f.field, f.n, acc, _clean=True)
 
 
+def _point_plan(f: Polynomial, gradient: bool) -> list:
+    """f's point plan, built on first use and kept on f, which is immutable:
+    [terms, tops, gradients].  terms holds (c, [(j, e), ...]) over the
+    nonzero exponents of each term, tops the largest exponent of each
+    variable, and gradients, built only once asked for, the terms of each
+    partial df/dx_(j+1) in the same form: c * x_j^e gives c * e * x_j^(e-1)."""
+    plan = f._plan
+    if plan is None:
+        terms = [(c, [(j, e) for j, e in enumerate(m) if e]) for m, c in f.terms.items()]
+        plan = f._plan = [terms, [max(col) for col in zip(*f.terms)] or [0] * f.n, None]
+    if gradient and plan[2] is None:
+        q = f.field.q
+        grads: list[list] = [[] for _ in range(f.n)]
+        for c, support in plan[0]:
+            for j, e in support:
+                if c * e % q:
+                    rest = [(k, ek - (k == j)) for k, ek in support if k != j or ek > 1]
+                    grads[j].append((c * e % q, rest))
+        plan[2] = grads
+    return plan
+
+
+def point_values(F: Sequence[Polynomial], x: "Point | Sequence[int]",
+                 value: bool = True, gradient: bool = False) -> list[list[int]]:
+    """Row k holds F_k(x) when value is set, then the gradient of F_k at x
+    when gradient is set, all as canonical residues.  The polynomials share
+    one ring; each runs its cached point plan against one table of
+    coordinate powers, sized by the largest exponents, with one % q per
+    value."""
+    field, n = F[0].field, F[0].n
+    coords = as_coordinates(field, x)
+    if len(coords) != n:
+        raise ValueError(f"point has {len(coords)} coordinates, ambient n={n}")
+    q = field.q
+    plans = [_point_plan(f, gradient) for f in F]
+    powers = []
+    for v, top in zip(coords, map(max, zip(*(plan[1] for plan in plans)))):
+        pv = [1]
+        for _ in range(top):
+            pv.append(pv[-1] * v % q)
+        powers.append(pv)
+    rows = []
+    for terms, _, grads in plans:
+        row = []
+        for part in ([terms] if value else []) + (grads if gradient else []):
+            total = 0
+            for c, support in part:
+                for j, e in support:
+                    c *= powers[j][e]
+                total += c
+            row.append(total % q)
+        rows.append(row)
+    return rows
+
+
 def evaluate(f: Polynomial, x: "Point | Sequence[int]") -> int:
-    """Value of f at x as a canonical residue, via cached variable powers."""
-    coords = as_coordinates(f.field, x)
-    if len(coords) != f.n:
-        raise ValueError(f"point has {len(coords)} coordinates, ambient n={f.n}")
-    q = f.field.q
-    # powers[j] grows lazily up to the largest exponent of x_{j+1} seen
-    powers: list[list[int]] = [[1] for _ in range(f.n)]
-    total = 0
-    for m, c in f.terms.items():
-        v = c
-        for j, e in enumerate(m):
-            if e == 0:
-                continue
-            pj = powers[j]
-            while len(pj) <= e:
-                pj.append(pj[-1] * coords[j] % q)
-            v = v * pj[e] % q
-        total = (total + v) % q
-    return total
+    """Value of f at x as a canonical residue."""
+    return point_values([f], x)[0][0]

@@ -1,13 +1,14 @@
 """Polar constructions: worked instances, degeneracies, pointwise ranks."""
 
 import random
+from itertools import product
 
 import pytest
 
 from polarvar.field import PrimeField
 from polarvar.groebner import (BudgetExceededError, GBLimits, IdealPresentation,
                                normal_form, reduced_groebner_basis)
-from polarvar.matrices import ConstMatrix, enumerate_minors, minor_count
+from polarvar.matrices import ConstMatrix, enumerate_minors, jacobian, minor_count
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial
 from polarvar.polar import (MinorCapExceededError, PolarSpec, PolarSpecError,
@@ -22,6 +23,8 @@ from polarvar.polar import (MinorCapExceededError, PolarSpec, PolarSpecError,
 from polarvar import polar
 from polarvar.experiment import (derive_seed, random_dense_poly,
                                  random_full_rank_matrix, run_grid)
+
+from conftest import evaluate_matrix, naive_evaluate
 
 
 def P(text, n, field):
@@ -337,6 +340,43 @@ def test_thom_boardman_rejects_singular_points(K):
     a = ConstMatrix(K, [[1, 1]])
     with pytest.raises(PointClassificationError):
         thom_boardman_class([cross], a, [0, 0])
+
+
+def test_thom_boardman_class_against_the_evaluated_stack():
+    # criterion 10's systems (master seed 20260810, as in test_acceptance);
+    # the oracle ranks [jacobian(F); a] evaluated entry by entry and finds
+    # V(F) and its regular points the same way
+    F7 = PrimeField(7)
+    for n, p in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)]:
+        for attempt in range(50):
+            rng = random.Random(derive_seed(20260810, 10, n, p, attempt))
+            F = [random_dense_poly(rng, F7, n) for _ in range(p)]
+            on_variety = [x for x in product(range(7), repeat=n)
+                          if not any(naive_evaluate(f, x) for f in F)]
+            regular = [x for x in on_variety
+                       if evaluate_matrix(jacobian(F), x).rank() == p]
+            if regular:
+                break
+        a_full = random_full_rank_matrix(rng, F7, n - p, n)
+        for i in range(1, n - p + 1):
+            a_i = a_full.submatrix(range(n - p - i + 1), range(n))
+            stack = jacobian(F).stack(a_i.to_poly_matrix(n))
+            for x in regular:
+                want = n - evaluate_matrix(stack, x).rank()
+                assert thom_boardman_class(F, a_i, x) == want
+            for x in set(on_variety) - set(regular):
+                with pytest.raises(PointClassificationError, match="singular"):
+                    thom_boardman_class(F, a_i, x)
+
+
+def test_thom_boardman_rejects_points_off_the_variety(K):
+    # the gradient vanishes at the origin, but the value test comes first
+    f = P("x1^2+x2^2+1", 2, K)
+    a = ConstMatrix(K, [[1, 0]])
+    with pytest.raises(PointClassificationError, match="does not lie on the variety"):
+        thom_boardman_class([f], a, [0, 0])
+    with pytest.raises(ValueError):
+        thom_boardman_class([f], a, [0, 0, 0])
 
 
 def test_thom_boardman_rejects_empty_systems(K):

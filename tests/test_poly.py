@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from polarvar.field import PrimeField
+from polarvar.matrices import jacobian, jacobian_at
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import (Point, Polynomial, add_multiple, differentiate, drl_key,
                            evaluate)
 
-from conftest import monomial_mul, naive_evaluate, random_poly
+from conftest import evaluate_matrix, monomial_mul, naive_evaluate, random_poly
 
 
 def P(text, n, field):
@@ -191,3 +193,55 @@ def test_extend_preserves_values(K):
     g = f.extend(4)
     assert g.n == 4
     assert evaluate(g, [2, 5, 9, 9]) == evaluate(f, [2, 5])
+
+
+@pytest.mark.parametrize("q", [7, PrimeField().q])
+def test_cached_point_plans_against_the_naive_oracle_property(q):
+    # each polynomial and system is evaluated at several points in turn, so
+    # a plan or power table carried over from an earlier point shows
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = PrimeField(q)
+    residue = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 4))
+        # variables past `used` never occur; exponents reach 9 >= 7
+        used = draw(st.integers(0, n))
+        monomial = st.tuples(*[st.integers(0, 9)] * used + [st.just(0)] * (n - used))
+        term = st.tuples(monomial, residue)
+        F = [Polynomial(field, n, dict(draw(st.lists(term, max_size=6))))
+             for _ in range(draw(st.integers(1, 3)))]
+        F += [Polynomial.zero(field, n), Polynomial.constant(field, n, draw(residue))]
+        points = draw(st.lists(st.tuples(*[residue] * n), min_size=2, max_size=6))
+        return F, points
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        F, points = case
+        for x in points:
+            for f in F:
+                assert evaluate(f, x) == naive_evaluate(f, x)
+            assert jacobian_at(F, x) == evaluate_matrix(jacobian(F), x)
+
+    check()
+
+
+def test_point_plans_stay_with_their_polynomial(K):
+    rng = random.Random(13)
+    for _ in range(20):
+        f = random_poly(rng, K, 3, max_degree=4, terms=6)
+        g = random_poly(rng, K, 3, max_degree=4, terms=6)
+        twin = Polynomial(K, 3, dict(f.terms))
+        x = [rng.randrange(K.q) for _ in range(3)]
+        for h in (f, g):  # plans for the value and for the gradients
+            evaluate(h, x)
+            jacobian_at([h], x)
+        assert f == twin and hash(f) == hash(twin) and len({f, twin}) == 1
+        for h in (f + g, f - g, f * g, f.monic(), f.extend(4)):
+            y = [rng.randrange(K.q) for _ in range(h.n)]
+            assert evaluate(h, y) == naive_evaluate(h, y)
+            assert jacobian_at([h], y) == evaluate_matrix(jacobian([h]), y)
