@@ -24,11 +24,11 @@ s = parameter_count(n, p)
 z = [rng.randrange(K.q) for _ in range(s)]
 print(f"transform family at (n, p) = ({n}, {p}), {s} parameters")
 for i in (1, 2, 3):
-    B = example1_transform(n, p, i, z, K).B
+    B = example1_transform(n, p, i, z, K)
     print(f"  i = {i}: B has shape {B.rows} x {B.cols}")
 # the rows nest: each level drops the first row of the previous one
-B1 = example1_transform(n, p, 1, z, K).B
-B2 = example1_transform(n, p, 2, z, K).B
+B1 = example1_transform(n, p, 1, z, K)
+B2 = example1_transform(n, p, 2, z, K)
 print("  nesting holds:", B2.entries == B1.entries[1:])
 
 # --- descending dual chain --------------------------------------------------

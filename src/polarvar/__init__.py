@@ -15,8 +15,7 @@ from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
 from .groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
                        IdealPresentation, degree, dimension, hilbert_numerator,
                        is_radical_zero_dim, localize_rabinowitsch, normal_form,
-                       reduced_groebner_basis, standard_monomial_count,
-                       standard_monomials)
+                       reduced_groebner_basis, standard_monomials)
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarIdealResult,
                     PolarSpec, PolarSpecError, PointClassificationError,
                     SmoothnessReport, delta_ideal, incidence_fiber_dim,
@@ -25,8 +24,8 @@ from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarIdealResult,
                     singular_locus_ideal, thom_boardman_class,
                     verify_smooth_complete_intersection)
 from .families import (ChainReport, DegreeReport, Family31Instance,
-                       MeagerMatrixZ, WitnessReport, build_family_31,
-                       corner_minor, degree_domination_check, example1_transform,
+                       WitnessReport, build_family_31, corner_minor,
+                       degree_domination_check, example1_transform,
                        example2_chain, example2_matrix, transform_matrix,
                        transform_matrix_symbolic, unitriangular_inverse,
                        verify_singular_witness)

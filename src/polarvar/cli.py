@@ -220,7 +220,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_family31(args) -> int:
     field = _field(args)
-    inst = build_family_31(args.n, args.seed, field)
+    inst = build_family_31(args.n, args.seed, field, limits=_limits(args))
     report = verify_singular_witness(inst)
     payload = {
         "n": inst.n, "seed": args.seed,
@@ -322,16 +322,17 @@ def cmd_experiment(args) -> int:
 # --------------------------------------------------------------------- parser
 
 
-def _add_common(sp, system=True, matrix=False, polar=False):
+def _add_common(sp, system=True, matrix=False, polar=False, budget=True):
     sp.add_argument("--prime", type=int, default=None,
                     help="field modulus (default: POLAR_PRIME or 10000000019)")
     sp.add_argument("--json", action="store_true", help="JSON output")
-    sp.add_argument("--max-pairs", type=int, default=DEFAULT_LIMITS.max_pairs,
-                    help="Buchberger pair budget")
-    sp.add_argument("--max-basis", type=int, default=DEFAULT_LIMITS.max_basis,
-                    help="Buchberger basis-size budget")
-    sp.add_argument("--max-degree", type=int, default=DEFAULT_LIMITS.max_degree,
-                    help="Buchberger element-degree budget")
+    if budget:  # only for the commands that build a Groebner basis
+        sp.add_argument("--max-pairs", type=int, default=DEFAULT_LIMITS.max_pairs,
+                        help="Buchberger pair budget")
+        sp.add_argument("--max-basis", type=int, default=DEFAULT_LIMITS.max_basis,
+                        help="Buchberger basis-size budget")
+        sp.add_argument("--max-degree", type=int, default=DEFAULT_LIMITS.max_degree,
+                        help="Buchberger element-degree budget")
     if system:
         sp.add_argument("--system", required=True,
                         help="file with one polynomial per line")
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("parse", help="validate and canonicalize a system file")
-    _add_common(sp)
+    _add_common(sp, budget=False)
     sp.set_defaults(func=cmd_parse)
 
     sp = sub.add_parser("gb", help="reduced Groebner basis of a system")
@@ -382,12 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_singular)
 
     sp = sub.add_parser("tb", help="projection kernel dimension at a point")
-    _add_common(sp, matrix=True)
+    _add_common(sp, matrix=True, budget=False)
     sp.add_argument("--point", required=True, help='e.g. "1,0,0"')
     sp.set_defaults(func=cmd_tb)
 
     sp = sub.add_parser("fiber", help="multiplier-fiber dimension at a point")
-    _add_common(sp, matrix=True)
+    _add_common(sp, matrix=True, budget=False)
     sp.add_argument("--point", required=True)
     sp.add_argument("--i", type=int, required=True)
     sp.set_defaults(func=cmd_fiber)

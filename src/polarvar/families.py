@@ -31,15 +31,15 @@ from .groebner import (DEFAULT_LIMITS, GBLimits, IdealPresentation,
                        localize_rabinowitsch, normal_form)
 from .experiment import random_full_rank_matrix
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
-                       jacobian, jacobian_at, system_ring)
+                       enumerate_minors, jacobian, jacobian_at, system_ring)
 from .poly import Point, Polynomial, differentiate, evaluate
 from .polar import (CLASSIC, PolarIdealResult, PolarSpec, PolarSpecError,
-                    analyze_ideal, polar_generators, polar_stack,
+                    analyze_ideal, polar_generators, polar_ideal, polar_stack,
                     singular_locus_dim, singular_locus_generators,
                     verify_smooth_complete_intersection)
 
+_FAMILY_ATTEMPTS = 50  # draws build_family_31 tries before giving up
 _POINT_TRIES = 64  # draws _point_with_nonzero_leads tries per basis
-CHAIN_MINOR_CAP = 50_000  # minor cap of example2_chain's smoothness checks
 STRUCTURED_DRAWS = 3  # draws per structured family in degree_domination_check
 
 
@@ -75,22 +75,19 @@ def _diagonal_quadric(field: PrimeField, n: int, coeffs: Sequence[int],
     return Polynomial(field, n, terms)
 
 
-def build_family_31(n: int, seed: int, field: PrimeField | None = None,
-                    max_attempts: int = 50,
+def build_family_31(n: int, seed: int, field: PrimeField,
                     limits: GBLimits = DEFAULT_LIMITS) -> Family31Instance:
     """Draw matrices c, a and a point xi on the degeneracy space until every
     genericity requirement holds; the returned system is verified to be a
     smooth complete intersection vanishing at xi."""
     if n < 6:
         raise PolarSpecError("the singular family needs n >= 6")
-    if field is None:
-        field = PrimeField()
     if field.q == 2:
         raise PolarSpecError("characteristic two is rejected: the derivative "
                              "identity carries a factor 2")
     q = field.q
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_FAMILY_ATTEMPTS):
         c_rows = [[rng.randrange(1, q) for _ in range(n)] for _ in range(2)]
         c = ConstMatrix(field, c_rows)
         if any(
@@ -127,7 +124,7 @@ def build_family_31(n: int, seed: int, field: PrimeField | None = None,
             continue
         return Family31Instance(field=field, n=n, c=c, a=a, c1=c1, c2=c2,
                                 F1=F1, F2=F2, xi=Point(field, xi))
-    raise FamilyDrawError(f"no generic draw found in {max_attempts} attempts")
+    raise FamilyDrawError(f"no generic draw found in {_FAMILY_ATTEMPTS} attempts")
 
 
 def _point_with_nonzero_leads(rng: random.Random, field: PrimeField,
@@ -143,14 +140,6 @@ def _point_with_nonzero_leads(rng: random.Random, field: PrimeField,
         if x[0] and x[1]:
             return tuple(x)
     return None
-
-
-def _cofactor(M: PolyMatrix, row: int, col: int) -> Polynomial:
-    """Signed cofactor of the (row, col) entry, 1-indexed."""
-    rows = [r for r in range(M.rows) if r != row - 1]
-    cols = [c for c in range(M.cols) if c != col - 1]
-    minor = determinant_division_free(M.submatrix(rows, cols))
-    return minor if (row + col) % 2 == 0 else -minor
 
 
 @dataclass
@@ -172,7 +161,7 @@ class WitnessReport:
 
 
 def verify_singular_witness(inst: Family31Instance) -> WitnessReport:
-    field, n = inst.field, inst.n
+    n = inst.n
     N = polar_stack(polar_spec_31(inst))
     detN = determinant_division_free(N)
     xi = inst.xi
@@ -187,15 +176,20 @@ def verify_singular_witness(inst: Family31Instance) -> WitnessReport:
     if not grad_ok:
         failures.append("gradient of the determinant does not vanish at xi")
 
-    # cofactors along the two gradient rows: m1 keeps grad F1, m2 keeps grad F2
-    identity_ok = True
-    for j in range(1, n + 1):
-        m1j = _cofactor(N, 2, j)
-        m2j = _cofactor(N, 1, j)
-        rhs = m1j.scale(2 * inst.c[1, j - 1]) + m2j.scale(2 * inst.c[0, j - 1])
-        if grads[j - 1] != rhs:
-            identity_ok = False
-            break
+    # cofactors along the two gradient rows: m1 keeps grad F1, m2 keeps grad F2.
+    # One Laplace memo per deleted row r: the (n-1)-minors of N without row r
+    # come in lexicographic column-set order, so the one without column j is
+    # the last but j, with cofactor sign (-1)^(r+j)
+    cofactors = []
+    for r in (0, 1):
+        rest = N.submatrix([k for k in range(n) if k != r], range(n))
+        minors = list(enumerate_minors(rest, n - 1))[::-1]
+        cofactors.append([m if (r + j) % 2 == 0 else -m
+                          for j, m in enumerate(minors)])
+    m2, m1 = cofactors
+    identity_ok = all(
+        grads[j] == m1[j].scale(2 * inst.c[1, j]) + m2[j].scale(2 * inst.c[0, j])
+        for j in range(n))
     if not identity_ok:
         failures.append("cofactor form of the determinant derivative fails")
 
@@ -288,23 +282,11 @@ def unitriangular_inverse(M: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(inv)
 
 
-@dataclass
-class MeagerMatrixZ:
-    """One specialization B_i(z): rows p+i..n of the inverse transform."""
-
-    n: int
-    p: int
-    i: int
-    z: tuple[int, ...]
-    B: ConstMatrix
-
-
 def example1_transform(n: int, p: int, i: int, z: Sequence[int],
-                       field: PrimeField | None = None) -> MeagerMatrixZ:
-    """Build A(z), invert it exactly, and slice rows p+i..n; the defining
-    identity B_i(z) A(z) = [O | I] is re-checked before returning."""
-    if field is None:
-        field = PrimeField()
+                       field: PrimeField) -> ConstMatrix:
+    """B_i(z), the meagerly generic matrix: build A(z), invert it exactly,
+    and slice rows p+i..n; the defining identity B_i(z) A(z) = [O | I] is
+    re-checked before returning."""
     if not (1 <= p <= n - 1 and 1 <= i <= n - p):
         raise PolarSpecError(f"bad parameters (n, p, i) = ({n}, {p}, {i})")
     A = transform_matrix(field, n, p, z)
@@ -318,7 +300,7 @@ def example1_transform(n: int, p: int, i: int, z: Sequence[int],
             want = 1 if col == p + i - 1 + r else 0
             if prod[r, col] != want:
                 raise AssertionError("inverse slice identity failed")
-    return MeagerMatrixZ(n=n, p=p, i=i, z=tuple(v % field.q for v in z), B=B)
+    return B
 
 
 # ------------------------------------------------------- dual chain (example 2)
@@ -394,7 +376,7 @@ def example2_chain(F: Sequence[Polynomial], gamma: Sequence[int],
         res = analyze_ideal(field, n + 1, p, loc.generators, limits)
         smooth = True
         if res.dim >= 0:
-            smooth = singular_locus_dim(res, limits, cap=CHAIN_MINOR_CAP)[0] < 0
+            smooth = singular_locus_dim(res, limits)[0] < 0
         levels.append(ChainLevel(i=i, dim=res.dim, degree=res.degree,
                                  smooth=smooth))
         gens_by_level.append(loc.generators)
@@ -470,8 +452,7 @@ def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
     rows = n - p - i + 1
 
     def polar_degree(a: ConstMatrix, column0: list[int] | None = None) -> int:
-        spec = PolarSpec(n, p, i, flavor, F, a, column0)
-        return analyze_ideal(field, n, p, polar_generators(spec), limits).degree
+        return polar_ideal(PolarSpec(n, p, i, flavor, F, a, column0), limits).degree
 
     random_degs = [polar_degree(random_full_rank_matrix(rng, field, rows, n))
                    for _ in range(trials)]
@@ -480,7 +461,7 @@ def degree_domination_check(F: Sequence[Polynomial], i: int, trials: int,
     s = parameter_count(n, p)
     for _ in range(STRUCTURED_DRAWS):
         z = [rng.randrange(field.q) for _ in range(s)]
-        B = example1_transform(n, p, i, z, field).B
+        B = example1_transform(n, p, i, z, field)
         structured["transform_rows"].append(polar_degree(B))
     # the dual gamma rows carry one offset, on the last row only
     col0 = None if flavor == CLASSIC else [0] * (rows - 1) + [1]

@@ -91,8 +91,6 @@ class GroebnerBasis:
 
     __slots__ = ("field", "n", "basis", "leading_monomials")
 
-    order = "degrevlex"
-
     def __init__(self, field: PrimeField, n: int, basis: Sequence[Polynomial]):
         self.field = field
         self.n = n
@@ -522,14 +520,6 @@ def standard_monomials(G: GroebnerBasis, cap: int = 10**6) -> list[Monomial]:
         level = grown
     out.sort(key=drl_key)
     return out
-
-
-def standard_monomial_count(G: GroebnerBasis, cap: int = 10**6) -> int:
-    """Number of monomials outside the leading-term ideal (finite staircases)."""
-    try:
-        return len(standard_monomials(G, cap))
-    except BudgetExceededError:
-        raise ValueError("staircase too large to enumerate") from None
 
 
 # ------------------------------------------------------------- radical test

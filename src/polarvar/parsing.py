@@ -139,8 +139,7 @@ _VAR_RE = re.compile(r"x(\d+)")
 _VARS_HEADER_RE = re.compile(r"^\s*vars\s*:\s*(\d+)\s*$")
 
 
-def parse_system(text: str, field: PrimeField, n: int | None = None
-                 ) -> tuple[list[Polynomial], int]:
+def parse_system(text: str, field: PrimeField) -> tuple[list[Polynomial], int]:
     """Parse a system file body; returns (polynomials, ambient n)."""
     lines: list[tuple[int, str]] = []
     declared: int | None = None
@@ -157,8 +156,7 @@ def parse_system(text: str, field: PrimeField, n: int | None = None
         lines.append((lineno, line))
     if not lines:
         raise ParseError("system file contains no polynomials", 0)
-    if n is None:
-        n = declared
+    n = declared
     if n is None:
         seen = 0
         for _, line in lines:

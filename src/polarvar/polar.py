@@ -284,7 +284,9 @@ def verify_smooth_complete_intersection(F: Sequence[Polynomial],
             regular = False
     smooth = False
     if regular:
-        gens = list(F) + list(enumerate_minors(jacobian(F), p))
+        # a regular sequence has no zero member, so this is F plus the
+        # p-minors of J(F); C(n, p) stays under the minor cap for n <= 16
+        gens = singular_locus_generators(F, p)
         gb = reduced_groebner_basis(IdealPresentation(field, n, gens), limits)
         smooth = gb.contains_one
     return SmoothnessReport(regular_sequence_ok=regular, smooth_ok=smooth,

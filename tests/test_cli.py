@@ -1,5 +1,6 @@
 """Command-line surface: routing, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -179,14 +180,39 @@ def test_unknown_subcommand_exits_two(capsys):
     assert dispatch(["frobnicate"]) == EXIT_INPUT
 
 
+# the required flags of each subcommand
+_SYS = ["--system", "s.txt"]
+_POLAR = _SYS + ["--matrix", "a.json", "--i", "1"]
+_POINT = _SYS + ["--matrix", "a.json", "--point", "1,0,0"]
+_COMMANDS = {"parse": _SYS, "gb": _SYS, "dim": _SYS, "deg": _SYS,
+             "construct": _POLAR, "delta": _POLAR, "singular": _POLAR,
+             "tb": _POINT, "fiber": _POINT + ["--i", "1"],
+             "family31": ["--n", "6"], "chain2": _SYS,
+             "degcmp": _SYS + ["--i", "1"], "experiment": ["--nmax", "2"]}
+_BUILDS_A_BASIS = {"gb", "dim", "deg", "construct", "delta", "singular",
+                   "family31", "chain2", "degcmp", "experiment"}
+
+
 def test_budget_flag_defaults_are_the_library_defaults():
     parser = build_parser()
-    for argv in (["experiment", "--nmax", "2"],
-                 ["singular", "--system", "s.txt", "--matrix", "a.json",
-                  "--i", "1"]):
-        args = parser.parse_args(argv)
-        assert _limits(args) == DEFAULT_LIMITS
-        assert args.minor_cap == DEFAULT_MINOR_CAP
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_COMMANDS)
+    for command, argv in _COMMANDS.items():
+        args = parser.parse_args([command] + argv)
+        if command in _BUILDS_A_BASIS:
+            assert _limits(args) == DEFAULT_LIMITS
+        else:
+            assert not {"max_pairs", "max_basis", "max_degree"} & set(vars(args))
+        if command in ("singular", "experiment"):
+            assert args.minor_cap == DEFAULT_MINOR_CAP
+
+
+@pytest.mark.parametrize("command", ["parse", "tb", "fiber"])
+def test_commands_without_a_basis_take_no_budget_flags(command, capsys):
+    argv = [command] + _COMMANDS[command] + ["--max-pairs", "1"]
+    assert dispatch(argv) == EXIT_INPUT
+    assert "--max-pairs" in capsys.readouterr().err
 
 
 def test_budget_exit_code(tmp_path, capsys):
@@ -194,6 +220,9 @@ def test_budget_exit_code(tmp_path, capsys):
     system.write_text("x1^2+x2^2+x3^2-1\nx1*x2-x3\nx1*x3-x2\n")
     assert dispatch(["gb", "--system", str(system),
                      "--max-pairs", "1", "--max-basis", "2"]) == EXIT_BUDGET
+    # the smoothness check of each family draw runs under the flags
+    assert dispatch(["family31", "--n", "6", "--seed", "0",
+                     "--max-pairs", "1", "--max-basis", "1"]) == EXIT_BUDGET
 
 
 def test_prime_flag_and_env(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from polarvar import families
 from polarvar.families import (FamilyDrawError, build_family_31, corner_minor,
                                degree_domination_check, example1_transform,
                                example2_chain, example2_matrix,
@@ -15,6 +16,8 @@ from polarvar.parsing import parse_polynomial
 from polarvar.polar import PolarSpecError, polar_ideal, polar_stack
 from polarvar.poly import Polynomial, evaluate
 from polarvar.experiment import random_smooth_system
+
+from conftest import det_cofactor
 
 
 def P(text, n, field):
@@ -74,34 +77,40 @@ def test_family31_several_seeds(K):
 def test_determinant_derivative_identity_on_twenty_instances(K):
     # d/dX_j of the stacked determinant equals
     # 2*(c_{2,j} m_{1,j} + c_{1,j} m_{2,j}) with m_{u,j} the cofactor that
-    # keeps the gradient row of F_u; checked as a polynomial identity
-    from polarvar.families import _cofactor
+    # keeps the gradient row of F_u; checked as a polynomial identity, with
+    # each cofactor from the independent first-row expansion of conftest
     from polarvar.matrices import determinant_division_free
     from polarvar.poly import differentiate
+
+    def cofactor(N, r, j):
+        minor = det_cofactor(N.submatrix([k for k in range(N.rows) if k != r],
+                                         [c for c in range(N.cols) if c != j]))
+        return minor if (r + j) % 2 == 0 else -minor
+
     for seed in range(20):
         inst = build_family_31(6, seed=1000 + seed, field=K)
         N = polar_stack(polar_spec_31(inst))
         detN = determinant_division_free(N)
-        for j in range(1, 7):
-            lhs = differentiate(detN, j)
-            rhs = (_cofactor(N, 2, j).scale(2 * inst.c[1, j - 1])
-                   + _cofactor(N, 1, j).scale(2 * inst.c[0, j - 1]))
+        for j in range(6):
+            lhs = differentiate(detN, j + 1)
+            rhs = (cofactor(N, 1, j).scale(2 * inst.c[1, j])
+                   + cofactor(N, 0, j).scale(2 * inst.c[0, j]))
             assert lhs == rhs
 
 
 def test_transform_at_zero_is_identity(K):
     n, p = 5, 2
-    mz = example1_transform(n, p, 1, [0] * parameter_count(n, p), K)
+    B = example1_transform(n, p, 1, [0] * parameter_count(n, p), K)
     expect = tuple(tuple(1 if c == r + p else 0 for c in range(n))
                    for r in range(n - p))
-    assert mz.B.entries == expect
+    assert B.entries == expect
 
 
 def test_transform_rows_nest(K):
     rng = random.Random(555)
     n, p = 6, 2
     z = [rng.randrange(K.q) for _ in range(parameter_count(n, p))]
-    mats = [example1_transform(n, p, i, z, K).B for i in range(1, n - p + 1)]
+    mats = [example1_transform(n, p, i, z, K) for i in range(1, n - p + 1)]
     for prev, nxt in zip(mats, mats[1:]):
         assert nxt.entries == prev.entries[1:]
 
@@ -217,9 +226,10 @@ def test_degree_domination_dual_flavor(K):
     assert report.dominated
 
 
-def test_family_draw_error_surfaces(K):
+def test_family_draw_error_surfaces(K, monkeypatch):
+    monkeypatch.setattr(families, "_FAMILY_ATTEMPTS", 0)
     with pytest.raises(FamilyDrawError):
-        build_family_31(6, seed=0, field=K, max_attempts=0)
+        build_family_31(6, seed=0, field=K)
 
 
 @pytest.fixture(scope="module")
