@@ -11,7 +11,7 @@ from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .poly import Point, Polynomial, differentiate, evaluate
 from .parsing import ParseError, parse_polynomial, parse_system
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
-                       enumerate_minors, jacobian, jacobian_at, minor_count)
+                       enumerate_minors, jacobian, jacobian_at)
 from .groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
                        IdealPresentation, degree, dimension, hilbert_numerator,
                        is_radical_zero_dim, localize_rabinowitsch, normal_form,

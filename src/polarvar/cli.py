@@ -23,10 +23,9 @@ from .groebner import (DEFAULT_LIMITS, BudgetExceededError, GBLimits,
                        reduced_groebner_basis)
 from .matrices import ConstMatrix
 from .parsing import ParseError, parse_system
-from .polar import (CLASSIC, DEFAULT_MINOR_CAP, DUAL, MinorCapExceededError,
-                    PolarSpec, PolarSpecError, PointClassificationError,
-                    delta_ideal, incidence_fiber_dim, polar_ideal,
-                    polar_singular_dim, thom_boardman_class)
+from .polar import (CLASSIC, DUAL, PolarSpec, PolarSpecError,
+                    PointClassificationError, delta_ideal, incidence_fiber_dim,
+                    polar_ideal, polar_singular_dim, thom_boardman_class)
 from .poly import Point, Polynomial
 
 EXIT_OK = 0
@@ -190,7 +189,7 @@ def cmd_singular(args) -> int:
     spec = _polar_spec(args, field, F, n)
     limits = _limits(args)
     result = polar_ideal(spec, limits)
-    dim_sing, route = polar_singular_dim(spec, result, limits, cap=args.minor_cap)
+    dim_sing, route = polar_singular_dim(spec, result, limits)
     mode = MODE_DELTA if route == "delta" else MODE_FULL
     note = {"empty": " (polar variety empty)", "delta": "  (delta proxy)"}
     _emit(args, f"{dim_sing}{note.get(route, '')}",
@@ -304,7 +303,7 @@ def cmd_experiment(args) -> int:
     results = run_grid(args.nmax, seeds=args.seeds, mode=args.mode,
                        flavor=args.flavor, prime=field.q,
                        master_seed=args.master_seed, limits=_limits(args),
-                       p_max=args.p_max, minor_cap=args.minor_cap)
+                       p_max=args.p_max)
     lines = [json.dumps(r.to_record(with_timing=args.timings)) for r in results]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -379,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("singular", help="singular locus of a polar variety")
     _add_common(sp, matrix=True, polar=True)
-    sp.add_argument("--minor-cap", type=int, default=DEFAULT_MINOR_CAP)
     sp.set_defaults(func=cmd_singular)
 
     sp = sub.add_parser("tb", help="projection kernel dimension at a point")
@@ -422,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--master-seed", type=int, default=0)
     sp.add_argument("--p-max", type=int, default=None,
                     help="skip cells with p above this bound")
-    sp.add_argument("--minor-cap", type=int, default=DEFAULT_MINOR_CAP)
     sp.add_argument("--out", help="write JSON-lines records to this path")
     sp.add_argument("--timings", action="store_true",
                     help="include measured elapsed_ms (breaks byte-level "
@@ -447,7 +444,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except FamilyDrawError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (BudgetExceededError, MinorCapExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

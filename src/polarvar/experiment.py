@@ -31,9 +31,9 @@ from .field import DEFAULT_PRIME, PrimeField
 from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
 from .matrices import ConstMatrix, jacobian_at, system_ring
 from .poly import Point, Polynomial
-from .polar import (CLASSIC, DEFAULT_MINOR_CAP, DUAL, PolarSpec,
-                    SmoothnessReport, delta_ideal, polar_ideal,
-                    polar_singular_dim, verify_smooth_complete_intersection)
+from .polar import (CLASSIC, DUAL, PolarSpec, SmoothnessReport, delta_ideal,
+                    polar_ideal, polar_singular_dim,
+                    verify_smooth_complete_intersection)
 
 MODE_FULL = "full"
 MODE_DELTA = "delta"
@@ -162,8 +162,7 @@ class CellResult:
         return rec
 
 
-def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
-             minor_cap: int = DEFAULT_MINOR_CAP) -> CellResult:
+def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS) -> CellResult:
     n, p, i = spec.n, spec.p, spec.i
     expected = expected_singular_dim(n, p, i)
     start = time.monotonic()
@@ -200,8 +199,7 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS,
             continue
         try:
             if spec.mode == MODE_FULL:
-                dim_sing, route = polar_singular_dim(pspec, result, limits,
-                                                     cap=minor_cap)
+                dim_sing, route = polar_singular_dim(pspec, result, limits)
             else:
                 dim_sing, route = delta_ideal(pspec, limits).dim, "delta"
         except BudgetExceededError:
@@ -226,12 +224,16 @@ def grid_triples(nmax: int) -> list[tuple[int, int, int]]:
 def run_grid(nmax: int, seeds: int = 1, mode: str = MODE_FULL,
              flavor: str = CLASSIC, prime: int = DEFAULT_PRIME,
              master_seed: int = 0, limits: GBLimits = DEFAULT_LIMITS,
-             p_max: int | None = None,
-             minor_cap: int = DEFAULT_MINOR_CAP) -> list[CellResult]:
+             p_max: int | None = None) -> list[CellResult]:
     """All triples up to nmax, `seeds` independent draws each; the quadric
     system and matrix derive from (master, n, p, seed index) only, so cells
     that differ in i alone share them.  The cells of one draw run back to
-    back, i innermost; results come out sorted by (n, p, i, seed)."""
+    back, i innermost; results come out sorted by (n, p, i, seed).  A grid
+    with no cell (nmax < 2, seeds < 1 or p_max < 1) is a ValueError."""
+    if nmax < 2 or seeds < 1 or (p_max is not None and p_max < 1):
+        raise ValueError(f"empty grid: need nmax >= 2, seeds >= 1 and "
+                         f"p_max >= 1, got nmax={nmax}, seeds={seeds}, "
+                         f"p_max={p_max}")
     results = []
     for n in range(2, nmax + 1):
         for p in range(1, n if p_max is None else min(n, p_max + 1)):
@@ -240,7 +242,7 @@ def run_grid(nmax: int, seeds: int = 1, mode: str = MODE_FULL,
                 for i in range(1, n - p + 1):
                     spec = CellSpec(n=n, p=p, i=i, flavor=flavor, prime=prime,
                                     seed=cell_seed, mode=mode)
-                    results.append(run_cell(spec, limits, minor_cap=minor_cap))
+                    results.append(run_cell(spec, limits))
     results.sort(key=lambda r: (r.n, r.p, r.i, r.seed))
     return results
 

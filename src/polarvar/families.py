@@ -363,6 +363,8 @@ def example2_chain(F: Sequence[Polynomial], gamma: Sequence[int],
     F = list(F)
     field, n = system_ring(F)
     p = len(F)
+    if not 1 <= p <= n - 1:
+        raise PolarSpecError(f"need 1 <= p <= n-1, got p={p}, n={n}")
     m = corner_minor(F)
     levels: list[ChainLevel] = []
     gens_by_level: list[tuple[Polynomial, ...]] = []
@@ -374,11 +376,8 @@ def example2_chain(F: Sequence[Polynomial], gamma: Sequence[int],
         loc = localize_rabinowitsch(
             IdealPresentation(field, n, polar_generators(spec)), m)
         res = analyze_ideal(field, n + 1, p, loc.generators, limits)
-        smooth = True
-        if res.dim >= 0:
-            smooth = singular_locus_dim(res, limits)[0] < 0
         levels.append(ChainLevel(i=i, dim=res.dim, degree=res.degree,
-                                 smooth=smooth))
+                                 smooth=singular_locus_dim(res, limits)[0] < 0))
         gens_by_level.append(loc.generators)
         results.append(res)
     dims_ok = all(lv.dim in (-1, n - p - lv.i) for lv in levels)

@@ -11,7 +11,6 @@ every prefix of its rows and its null space.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import Iterator, Sequence
 
 from .field import PrimeField
@@ -238,10 +237,6 @@ def determinant_division_free(M: PolyMatrix) -> Polynomial:
     full = tuple(range(M.rows))
     return Polynomial(M.field, M.n, dict(_laplace_minors(M)(full, full)),
                       _clean=True)
-
-
-def minor_count(M: PolyMatrix, r: int) -> int:
-    return comb(M.rows, r) * comb(M.cols, r)
 
 
 def enumerate_minors(M: PolyMatrix, r: int) -> Iterator[Polynomial]:

@@ -9,28 +9,34 @@ to all ones.  The degeneracy locus one rank lower (all (n-i)-minors of the
 same stack) contains every singular point of the polar variety at regular
 points of S, and the Jacobian-criterion machinery below measures both.
 
-singular_locus_dim decides the singular locus of a zero-dimensional
-polar variety W by an exact radical test on its reduced basis (W is
-singular exactly at its non-reduced points); the Jacobian criterion,
-singular_locus_ideal, handles positive dimension and serves as the
-independent oracle for the radical test in the tests.  Its minor-count cap
-is checked in one place, singular_locus_generators, the only builder of
-Jacobian minors.  polar_singular_dim adds the policy shared by the
-experiment and the CLI: an empty W has dimension -1, and a Jacobian
-criterion past the minor cap falls back to the rank-degeneracy proxy.
+singular_locus_dim decides the singular locus of a variety W: an empty W
+has dimension -1, a zero-dimensional W is decided by an exact radical test
+on its reduced basis (W is singular exactly at its non-reduced points), and
+the Jacobian criterion, singular_locus_ideal, handles positive dimension
+and serves as the independent oracle for the radical test in the tests.
+
+MINOR_CAP bounds the number of Jacobian c-minors one singular-locus ideal
+may ask for.  It is a module constant, not a parameter: at master seed 1
+the full grid over n <= 5 at three seeds never asks for more than 1 650
+minors, and the n = 6, p <= 2 full grid hits the cap on exactly three
+cells, which ask for 27 300 to 122 094.  Only singular_locus_generators, the one builder of
+Jacobian minors, reads it, at call time, and raises MinorCapExceededError
+past it.  polar_singular_dim answers such a polar variety with the
+rank-degeneracy proxy delta_ideal instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .field import PrimeField
-from .groebner import (DEFAULT_LIMITS, GBLimits, GroebnerBasis, IdealPresentation,
-                       degree, dimension, is_radical_zero_dim,
-                       reduced_groebner_basis)
+from .groebner import (DEFAULT_LIMITS, BudgetExceededError, GBLimits,
+                       GroebnerBasis, IdealPresentation, degree, dimension,
+                       is_radical_zero_dim, reduced_groebner_basis)
 from .matrices import (ConstMatrix, PolyMatrix, enumerate_minors, jacobian,
-                       minor_count, system_ring)
+                       system_ring)
 from .poly import Polynomial, point_values
 
 CLASSIC = "classic"
@@ -45,13 +51,15 @@ class PointClassificationError(ValueError):
     """The queried point is off the variety or singular on it."""
 
 
-class MinorCapExceededError(RuntimeError):
+class MinorCapExceededError(BudgetExceededError):
     """Jacobian-criterion minor count blew the cap; delta-proxy mode applies."""
 
     def __init__(self, count: int, cap: int):
-        super().__init__(
-            f"singular-locus minor count {count} exceeds cap {cap}; "
+        RuntimeError.__init__(
+            self, f"singular-locus minor count {count} exceeds cap {cap}; "
             "consider the delta-proxy mode")
+        self.kind = "minors"
+        self.limit = cap
         self.count = count
         self.cap = cap
 
@@ -181,15 +189,15 @@ def delta_ideal(spec: PolarSpec, limits: GBLimits = DEFAULT_LIMITS) -> PolarIdea
     return analyze_ideal(spec.field, spec.n, spec.p, gens, limits)
 
 
-DEFAULT_MINOR_CAP = 20_000
+MINOR_CAP = 20_000
 
 
-def singular_locus_generators(generators: Sequence[Polynomial], c: int,
-                              cap: int = DEFAULT_MINOR_CAP) -> list[Polynomial]:
+def singular_locus_generators(generators: Sequence[Polynomial],
+                              c: int) -> list[Polynomial]:
     """Jacobian-criterion generators: the ideal plus all c-minors of its
     Jacobian; valid for any generating set of an equidimensional radical
     ideal of codimension c.  Raises MinorCapExceededError, before building
-    any minor, when the c-minors number more than `cap`."""
+    any minor, when the c-minors number more than MINOR_CAP."""
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         raise PolarSpecError("singular locus of the zero ideal is undefined")
@@ -197,22 +205,20 @@ def singular_locus_generators(generators: Sequence[Polynomial], c: int,
     if c < 1 or c > min(len(gens), n):
         raise PolarSpecError(
             f"codimension {c} incompatible with {len(gens)} generators in {n} vars")
-    J = jacobian(gens)
-    count = minor_count(J, c)
-    if count > cap:
-        raise MinorCapExceededError(count, cap)
-    return gens + list(enumerate_minors(J, c))
+    count = comb(len(gens), c) * comb(n, c)
+    if count > MINOR_CAP:
+        raise MinorCapExceededError(count, MINOR_CAP)
+    return gens + list(enumerate_minors(jacobian(gens), c))
 
 
 def singular_locus_ideal(result: PolarIdealResult,
-                         limits: GBLimits = DEFAULT_LIMITS,
-                         cap: int = DEFAULT_MINOR_CAP) -> PolarIdealResult:
+                         limits: GBLimits = DEFAULT_LIMITS) -> PolarIdealResult:
     """Singular locus of the variety behind `result` via the Jacobian
     criterion at its codimension n - dim."""
     if result.dim < 0:
         raise PolarSpecError("singular locus of an empty variety is undefined")
     gens = singular_locus_generators(result.ideal.generators,
-                                     result.n - result.dim, cap)
+                                     result.n - result.dim)
     # seeding the presentation with the reduced basis leaves the ideal
     # unchanged and lets the minors reduce against interreduced elements
     seeded = list(result.gb.basis) + gens
@@ -220,33 +226,32 @@ def singular_locus_ideal(result: PolarIdealResult,
 
 
 def singular_locus_dim(result: PolarIdealResult,
-                       limits: GBLimits = DEFAULT_LIMITS,
-                       cap: int = DEFAULT_MINOR_CAP) -> tuple[int, str]:
+                       limits: GBLimits = DEFAULT_LIMITS) -> tuple[int, str]:
     """Dimension of the singular locus of the variety behind `result`, and
-    the route that decided it ("radical" or "jacobian").
+    the route that decided it: "empty", "radical" or "jacobian".
 
-    A zero-dimensional variety is singular exactly at its non-reduced
-    points, so it is decided by the exact radical test on the reduced basis
-    (-1 when radical, 0 otherwise); it builds no minors, so the minor cap
-    does not apply.  Positive dimensions go through singular_locus_ideal,
-    which raises MinorCapExceededError past `cap`."""
+    An empty variety has an empty singular locus (-1).  A zero-dimensional
+    variety is singular exactly at its non-reduced points, so it is decided
+    by the exact radical test on the reduced basis (-1 when radical, 0
+    otherwise); it builds no minors, so the minor cap does not apply.
+    Positive dimensions go through singular_locus_ideal, which raises
+    MinorCapExceededError past MINOR_CAP."""
+    if result.dim < 0:
+        return -1, "empty"
     if result.dim == 0:
         return (-1 if is_radical_zero_dim(result.gb, limits) else 0), "radical"
-    return singular_locus_ideal(result, limits, cap).dim, "jacobian"
+    return singular_locus_ideal(result, limits).dim, "jacobian"
 
 
 def polar_singular_dim(spec: PolarSpec, result: PolarIdealResult,
-                       limits: GBLimits = DEFAULT_LIMITS,
-                       cap: int = DEFAULT_MINOR_CAP) -> tuple[int, str]:
+                       limits: GBLimits = DEFAULT_LIMITS) -> tuple[int, str]:
     """Dimension of the singular locus of the polar variety W of `spec`,
-    whose polar ideal is `result`, and the route that decided it: "empty"
-    (W is empty, -1), "radical" or "jacobian" (singular_locus_dim), or
-    "delta" when the Jacobian criterion's minor count exceeds `cap` and
-    the rank-degeneracy proxy delta_ideal answers instead."""
-    if result.dim < 0:
-        return -1, "empty"
+    whose polar ideal is `result`, and the route that decided it: the route
+    of singular_locus_dim, or "delta" when the Jacobian criterion's minor
+    count exceeds MINOR_CAP and the rank-degeneracy proxy delta_ideal
+    answers instead."""
     try:
-        return singular_locus_dim(result, limits, cap)
+        return singular_locus_dim(result, limits)
     except MinorCapExceededError:
         return delta_ideal(spec, limits).dim, "delta"
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -25,6 +26,24 @@ def K():
 @pytest.fixture(scope="session")
 def F7():
     return PrimeField(7)
+
+
+def expected_polar_degree(n: int, p: int, i: int, flavor: str) -> int:
+    """Closed-form degree of the i-th polar variety of p generic quadrics
+    in A^n: 2^p * C(p+i-1, i) for the classic flavor and 2^p * C(p+i, i)
+    for the dual one.  A second route to deg_W that never reads a
+    Groebner basis; n only fixes the range 1 <= i <= n - p.
+
+    W is the maximal-minor locus of a p x (p+i-1) matrix (dual:
+    (p+1) x (p+i)) of affine-linear forms inside the p quadrics.  For
+    generic forms an m x q such locus has degree C(q, m-1) (Eagon-
+    Northcott), and Bezout with the quadrics adds 2^p when nothing lies at
+    infinity.  Both steps need genericity: dense random quadrics and a
+    random full-rank matrix, not a structured draw."""
+    if not 1 <= p <= n - 1 or not 1 <= i <= n - p:
+        raise ValueError(f"no polar variety at (n, p, i) = ({n}, {p}, {i})")
+    top = p + i - 1 if flavor == "classic" else p + i
+    return 2 ** p * comb(top, i)
 
 
 def random_poly(rng: random.Random, field: PrimeField, n: int,

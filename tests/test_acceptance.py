@@ -33,9 +33,17 @@ from polarvar.polar import (PolarSpec, incidence_fiber_dim, polar_stack,
 from polarvar.poly import Polynomial, evaluate
 
 from conftest import (brute_force_dimension, count_staircase, det_cofactor,
-                      monomial_div, naive_normal_form, random_poly, shift)
+                      expected_polar_degree, monomial_div, naive_normal_form,
+                      random_poly, shift)
 
 MASTER_SEED = 20260810
+
+
+def degree_problems(results) -> list:
+    """Nonempty records whose deg_W differs from the closed form."""
+    return [(r.n, r.p, r.i, r.flavor, r.deg_W) for r in results
+            if r.status == "ok" and r.dim_W >= 0
+            and r.deg_W != expected_polar_degree(r.n, r.p, r.i, r.flavor)]
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -87,9 +95,10 @@ def test_criterion_01_full_singular_grid(full_grid):
             problems.append((r.n, r.p, r.i, "too many redraws"))
         elif r.dim_sing != expected_singular_dim(r.n, r.p, r.i):
             problems.append((r.n, r.p, r.i, r.dim_sing))
+    problems += degree_problems(results)
     ok = not problems and elapsed <= 1800
-    report(1, ok, f"{len(results)} cells, full-singular mode, "
-                  f"{elapsed:.0f}s <= 1800s; problems: {problems}")
+    report(1, ok, f"{len(results)} cells, full-singular mode, deg_W in "
+                  f"closed form, {elapsed:.0f}s <= 1800s; problems: {problems}")
 
 
 def test_criterion_02_delta_proxy_extension(delta_grid_n6):
@@ -97,8 +106,10 @@ def test_criterion_02_delta_proxy_extension(delta_grid_n6):
                 for r in delta_grid_n6
                 if r.status != "ok"
                 or r.dim_sing != expected_singular_dim(r.n, r.p, r.i)]
+    problems += degree_problems(delta_grid_n6)
     ok = not problems
-    report(2, ok, f"n=6, p<=3, {len(delta_grid_n6)} delta-proxy cells "
+    report(2, ok, f"n=6, p<=3, {len(delta_grid_n6)} delta-proxy cells, deg_W "
+                  f"in closed form "
                   f"(the n<=11 grid is NOT reproduced at desk scale); "
                   f"problems: {problems}")
 
@@ -128,10 +139,12 @@ def test_criterion_05_pure_codimension_law(full_grid):
     instances = results + dual
     bad = [(r.n, r.p, r.i, r.flavor, r.dim_W) for r in instances
            if r.dim_W not in (-1, r.n - r.p - r.i)]
+    bad += degree_problems(instances)
     nonempty = [r for r in instances if r.dim_W is not None and r.dim_W >= 0]
     ok = len(instances) >= 50 and not bad and len(nonempty) >= 50 and dual
     report(5, ok, f"{len(instances)} instances ({len(dual)} dual), "
-                  f"{len(nonempty)} nonempty, all of dimension n-p-i; "
+                  f"{len(nonempty)} nonempty, all of dimension n-p-i and "
+                  f"degree 2^p*C(p+i-1,i) (classic) or 2^p*C(p+i,i) (dual); "
                   f"bad: {bad}")
 
 
@@ -143,6 +156,7 @@ def test_criterion_06_delta_codimension_bound(delta_grid_n6, delta_grid_small):
         bound = r.n - r.p - 2 * r.i - 2
         if not (r.dim_sing == -1 or r.dim_sing <= bound):
             bad.append((r.n, r.p, r.i, r.dim_sing, bound))
+    bad += degree_problems(cells)
     report(6, bool(cells) and not bad,
            f"{len(cells)} nonempty instances keep dim of the degeneracy locus "
            f"within n-p-2i-2; bad: {bad}")
@@ -178,14 +192,19 @@ def test_criterion_08_degree_domination(K):
         if not rep.random_degrees_agree:
             problems.append((n, p, i, flavor, "random degrees differ",
                              rep.random_degrees))
+        if any(d != expected_polar_degree(n, p, i, flavor)
+               for d in rep.random_degrees):
+            problems.append((n, p, i, flavor, "random degree off the closed "
+                             "form", rep.random_degrees))
         if not rep.dominated:
             problems.append((n, p, i, flavor, "structured degree exceeds generic",
                              rep.structured_degrees))
         if not rep.within_bezout(2):
             problems.append((n, p, i, flavor, "Bezout bound violated"))
     report(8, not problems,
-           f"{len(combos)} smooth quadric systems: structured degrees dominated "
-           f"by the generic degree and within 2^n * p^(n-p); problems: {problems}")
+           f"{len(combos)} smooth quadric systems: generic degree in closed "
+           f"form, structured degrees dominated by it and within "
+           f"2^n * p^(n-p); problems: {problems}")
 
 
 def test_criterion_09_dual_chain(K):

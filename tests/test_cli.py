@@ -11,8 +11,8 @@ import pytest
 
 from polarvar.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _limits,
                           build_parser, dispatch)
+from polarvar import polar
 from polarvar.groebner import DEFAULT_LIMITS
-from polarvar.polar import DEFAULT_MINOR_CAP
 
 
 @pytest.fixture()
@@ -81,7 +81,8 @@ def test_delta_and_singular(circle_file, a10_file, capsys):
     assert payload["dim_sing"] == -1 and payload["mode"] == "full"
 
 
-def test_singular_falls_back_to_delta_past_the_minor_cap(tmp_path, capsys):
+def test_singular_falls_back_to_delta_past_the_minor_cap(tmp_path, capsys,
+                                                          monkeypatch):
     system = tmp_path / "sphere.txt"
     system.write_text("x1^2+x2^2+x3^2-1\n")
     matrix = tmp_path / "a.json"
@@ -91,10 +92,16 @@ def test_singular_falls_back_to_delta_past_the_minor_cap(tmp_path, capsys):
     assert dispatch(base + ["--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {
         "dim_W": 1, "dim_sing": -1, "mode": "full"}
-    assert dispatch(base + ["--minor-cap", "1", "--json"]) == EXIT_OK
+    # the cap is a library constant, not a flag
+    assert dispatch(base + ["--minor-cap", "1"]) == EXIT_INPUT
+    assert "--minor-cap" in capsys.readouterr().err
+    assert dispatch(["experiment", "--nmax", "2", "--minor-cap", "1"]) == EXIT_INPUT
+    assert "--minor-cap" in capsys.readouterr().err
+    monkeypatch.setattr(polar, "MINOR_CAP", 1)
+    assert dispatch(base + ["--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {
         "dim_W": 1, "dim_sing": -1, "mode": "delta"}
-    assert dispatch(base + ["--minor-cap", "1"]) == EXIT_OK
+    assert dispatch(base) == EXIT_OK
     assert capsys.readouterr().out == "-1  (delta proxy)\n"
 
 
@@ -204,8 +211,6 @@ def test_budget_flag_defaults_are_the_library_defaults():
             assert _limits(args) == DEFAULT_LIMITS
         else:
             assert not {"max_pairs", "max_basis", "max_degree"} & set(vars(args))
-        if command in ("singular", "experiment"):
-            assert args.minor_cap == DEFAULT_MINOR_CAP
 
 
 @pytest.mark.parametrize("command", ["parse", "tb", "fiber"])
@@ -259,6 +264,10 @@ def test_chain2_subcommand(tmp_path, capsys):
     gamma.write_text("[3, \"x\"]")
     assert dispatch(["chain2", "--system", str(system),
                      "--gamma", str(gamma)]) == EXIT_INPUT
+    # p = n leaves no polar level to check
+    system.write_text("x1^2 + x2^2 - 1\nx1 - x2\n")
+    assert dispatch(["chain2", "--system", str(system)]) == EXIT_INPUT
+    assert "1 <= p <= n-1" in capsys.readouterr().err
 
 
 def test_degcmp_subcommand(tmp_path, capsys):
@@ -303,3 +312,13 @@ def test_experiment_human_summary(capsys):
                      "--master-seed", "3"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "matched: 1" in out
+
+
+@pytest.mark.parametrize("flags", [["--seeds", "-1"], ["--seeds", "0"],
+                                   ["--nmax", "1"], ["--p-max", "0"],
+                                   ["--p-max", "-2"]])
+def test_experiment_rejects_an_empty_grid(flags, capsys):
+    argv = ["experiment", "--nmax", "2"] + flags
+    assert dispatch(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty grid" in captured.err

@@ -1,11 +1,12 @@
 """Experiment harness: seeding, cell runs, grids, point sampling."""
 
+import json
 import random
 from itertools import product
 
 import pytest
 
-from polarvar import experiment
+from polarvar import experiment, polar
 from polarvar.experiment import (CellSpec, derive_seed,
                                  expected_singular_dim, grid_triples,
                                  random_dense_poly, random_full_rank_matrix,
@@ -245,7 +246,7 @@ def test_full_and_delta_modes_agree(K):
     assert full.dim_sing == 0  # (6,2,1) has a zero-dimensional singular locus
 
 
-def test_cell_records_singular_route(K):
+def test_cell_records_singular_route(K, monkeypatch):
     # the grid's (5,2,*) draw: W is zero-dimensional at i = 3 and a curve
     # at i = 2; the route stays out of the JSON-lines record
     seed = derive_seed(0, 5, 2, 0)
@@ -255,16 +256,17 @@ def test_cell_records_singular_route(K):
     assert (jacobian.dim_W, jacobian.sing_route) == (1, "jacobian")
     assert radical.match and jacobian.match
     assert "sing_route" not in radical.to_record()
-    # the cap bounds Jacobian minors only: the radical route ignores it,
-    # and the curve falls back to the delta proxy
-    uncapped = run_cell(CellSpec(5, 2, 3, seed=seed), minor_cap=1)
-    assert (uncapped.mode, uncapped.sing_route) == ("full", "radical")
-    capped = run_cell(CellSpec(5, 2, 2, seed=seed), minor_cap=1)
-    assert (capped.mode, capped.sing_route) == ("delta", "delta")
-    assert capped.dim_sing == jacobian.dim_sing
     # W's basis fits in 50 pairs, the radical test does not: the cell skips
     starved = run_cell(CellSpec(5, 2, 3, seed=seed), GBLimits(max_pairs=50))
     assert (starved.status, starved.dim_W, starved.sing_route) == ("skipped", 0, None)
+    # the cap bounds Jacobian minors only: the radical route ignores it,
+    # and the curve falls back to the delta proxy
+    monkeypatch.setattr(polar, "MINOR_CAP", 1)
+    uncapped = run_cell(CellSpec(5, 2, 3, seed=seed))
+    assert (uncapped.mode, uncapped.sing_route) == ("full", "radical")
+    capped = run_cell(CellSpec(5, 2, 2, seed=seed))
+    assert (capped.mode, capped.sing_route) == ("delta", "delta")
+    assert capped.dim_sing == jacobian.dim_sing
 
 
 def test_zero_dimensional_cell_past_the_cap_stays_full():
@@ -274,3 +276,35 @@ def test_zero_dimensional_cell_past_the_cap_stays_full():
     cell = run_cell(CellSpec(6, 2, 4, seed=derive_seed(1, 6, 2, 0)))
     assert (cell.dim_W, cell.deg_W) == (0, 20)
     assert (cell.mode, cell.sing_route, cell.dim_sing) == ("full", "radical", -1)
+
+
+# the only cells of the n = 6, p <= 2 full grid at master seed 1 whose
+# Jacobian criterion asks for more minors than the default MINOR_CAP:
+# (6,1,3) 27 300, (6,1,4) 122 094 and (6,2,3) 37 128
+_CAPPED_CELLS = [
+    '{"n": 6, "p": 1, "i": 3, "flavor": "classic", "prime": 10000000019, '
+    '"seed": 15384943807377822175, "regular_sequence_ok": true, '
+    '"smooth_ok": true, "dim_W": 2, "deg_W": 2, "dim_sing": -1, '
+    '"expected_dim_sing": -1, "match": true, "mode": "delta", '
+    '"status": "ok", "redraws_used": 0, "elapsed_ms": null}',
+    '{"n": 6, "p": 1, "i": 4, "flavor": "classic", "prime": 10000000019, '
+    '"seed": 15384943807377822175, "regular_sequence_ok": true, '
+    '"smooth_ok": true, "dim_W": 1, "deg_W": 2, "dim_sing": -1, '
+    '"expected_dim_sing": -1, "match": true, "mode": "delta", '
+    '"status": "ok", "redraws_used": 0, "elapsed_ms": null}',
+    '{"n": 6, "p": 2, "i": 3, "flavor": "classic", "prime": 10000000019, '
+    '"seed": 4419176716681592297, "regular_sequence_ok": true, '
+    '"smooth_ok": true, "dim_W": 1, "deg_W": 16, "dim_sing": -1, '
+    '"expected_dim_sing": -1, "match": true, "mode": "delta", '
+    '"status": "ok", "redraws_used": 0, "elapsed_ms": null}',
+]
+
+
+@pytest.mark.parametrize("record", _CAPPED_CELLS)
+def test_default_minor_cap_falls_back_to_delta(record):
+    want = json.loads(record)
+    n, p, i = want["n"], want["p"], want["i"]
+    assert want["seed"] == derive_seed(1, n, p, 0)
+    cell = run_cell(CellSpec(n, p, i, seed=want["seed"]))
+    assert json.dumps(cell.to_record()) == record
+    assert (cell.mode, cell.sing_route, cell.match) == ("delta", "delta", True)

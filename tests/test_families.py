@@ -249,6 +249,16 @@ def test_example2_chain_rejects_empty_and_mixed_systems(K, mixed_system):
             example2_chain(F, [1, 1, 1])
 
 
+@pytest.mark.parametrize("texts", [
+    ["x1^2+x2^2-1", "x1-x2"],                  # p = n: no level to check
+    ["x1^2+x2^2-1", "x1-x2", "x1+x2-3"],       # p > n
+])
+def test_example2_chain_needs_p_below_n(K, texts):
+    F = [P(t, 2, K) for t in texts]
+    with pytest.raises(PolarSpecError, match="1 <= p <= n-1"):
+        example2_chain(F, [1, 1])
+
+
 def test_degree_domination_rejects_empty_and_mixed_systems(K, mixed_system):
     for F in ([], mixed_system):
         with pytest.raises(ValueError):

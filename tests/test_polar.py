@@ -2,13 +2,14 @@
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
 from polarvar.field import PrimeField
 from polarvar.groebner import (BudgetExceededError, GBLimits, IdealPresentation,
                                normal_form, reduced_groebner_basis)
-from polarvar.matrices import ConstMatrix, enumerate_minors, jacobian, minor_count
+from polarvar.matrices import ConstMatrix, enumerate_minors, jacobian
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial
 from polarvar.polar import (MinorCapExceededError, PolarSpec, PolarSpecError,
@@ -134,7 +135,7 @@ def test_polar_stack_shape(K, sphere):
                              ConstMatrix(K, [[1, 0, 0], [0, 1, 0]]))
     stack = polar_stack(spec)
     assert (stack.rows, stack.cols) == (3, 3)  # (n-i+1) x n
-    assert minor_count(stack, 3) == 1
+    assert comb(stack.rows, 3) * comb(stack.cols, 3) == 1
 
 
 def test_delta_of_sphere_is_empty(K, sphere):
@@ -153,7 +154,7 @@ def test_delta_minor_bookkeeping_at_top_index(K):
     polar_gens = polar_generators(spec)
     delta_gens = [sphere] + list(enumerate_minors(polar_stack(spec), n - i))
     assert len(polar_gens) == 1 + 3   # F plus C(3,2) maximal minors
-    assert len(delta_gens) == 1 + minor_count(polar_stack(spec), n - i)
+    assert len(delta_gens) == 1 + comb(n - i + 1, n - i) * comb(n, n - i)
     G = reduced_groebner_basis(
         IdealPresentation(field, n, delta_gens))
     for g in polar_gens:
@@ -202,11 +203,21 @@ def test_singular_locus_preconditions(K):
         singular_locus_ideal(empty)
 
 
-def test_minor_cap_triggers_explicit_error(K):
+def test_minor_cap_triggers_explicit_error(K, monkeypatch):
     gens = [P("x1^2+x2^2+x3^2-1", 3, K), P("x1*x2-x3", 3, K),
             P("x1*x3-x2", 3, K)]
-    with pytest.raises(MinorCapExceededError):
-        singular_locus_generators(gens, 2, cap=3)
+    # C(3,2) * C(3,2) = 9 minors: the cap is read at call time
+    assert len(singular_locus_generators(gens, 2)) == 3 + 9
+    monkeypatch.setattr(polar, "MINOR_CAP", 9)
+    assert len(singular_locus_generators(gens, 2)) == 3 + 9
+    monkeypatch.setattr(polar, "MINOR_CAP", 8)
+    with pytest.raises(MinorCapExceededError) as info:
+        singular_locus_generators(gens, 2)
+    assert (info.value.count, info.value.cap) == (9, 8)
+    assert str(info.value) == ("singular-locus minor count 9 exceeds cap 8; "
+                               "consider the delta-proxy mode")
+    # one budget family: a caller catching BudgetExceededError sees it
+    assert isinstance(info.value, BudgetExceededError)
 
 
 def both_routes(R):
@@ -234,10 +245,10 @@ def test_radical_route_matches_jacobian_on_grid(monkeypatch):
     # every zero-dimensional cell of the n <= 4 grid at three seeds
     checked = []
 
-    def recording(result, limits, cap):
+    def recording(result, limits):
         if result.dim == 0:
             checked.append(both_routes(result))
-        return singular_locus_dim(result, limits, cap)
+        return singular_locus_dim(result, limits)
 
     monkeypatch.setattr(polar, "singular_locus_dim", recording)
     results = run_grid(4, seeds=3)
@@ -246,7 +257,7 @@ def test_radical_route_matches_jacobian_on_grid(monkeypatch):
     assert all(radical == jacobian for radical, jacobian in checked)
 
 
-def test_polar_singular_dim_routes(K, circle, sphere):
+def test_polar_singular_dim_routes(K, circle, sphere, monkeypatch):
     empty = PolarSpec.classic(2, 1, 1, [P("x1", 2, K)], ConstMatrix(K, [[3, 7]]))
     assert polar_singular_dim(empty, polar_ideal(empty)) == (-1, "empty")
     points = PolarSpec.classic(2, 1, 1, [circle], ConstMatrix(K, [[1, 0]]))
@@ -255,25 +266,29 @@ def test_polar_singular_dim_routes(K, circle, sphere):
                               ConstMatrix(K, [[1, 0, 0], [0, 1, 0]]))
     R = polar_ideal(curve)
     assert polar_singular_dim(curve, R) == (-1, "jacobian")
-    # past the minor cap the rank-degeneracy proxy answers
-    assert polar_singular_dim(curve, R, cap=1) == (delta_ideal(curve).dim, "delta")
     with pytest.raises(BudgetExceededError):
         polar_singular_dim(points, polar_ideal(points), GBLimits(max_pairs=3))
+    # past the minor cap the rank-degeneracy proxy answers
+    monkeypatch.setattr(polar, "MINOR_CAP", 1)
+    assert polar_singular_dim(curve, R) == (delta_ideal(curve).dim, "delta")
 
 
-def test_singular_locus_dim_preconditions(K):
+def test_singular_locus_dim_preconditions(K, monkeypatch):
+    # an empty variety has an empty singular locus
     empty = analyze_ideal(K, 1, 1, [P("x1", 1, K), P("x1+1", 1, K)])
-    with pytest.raises(PolarSpecError):
-        singular_locus_dim(empty)
+    assert singular_locus_dim(empty) == (-1, "empty")
     # the radical test builds no minors, so the minor-count cap is moot
     points = analyze_ideal(K, 2, 1, [P("x1^2-1", 2, K), P("x2^2-4", 2, K)])
-    assert singular_locus_dim(points, cap=0) == (-1, "radical")
     assert singular_locus_dim(points) == (-1, "radical")
-    # a curve needs the Jacobian minors, whose count the cap bounds
     curve = analyze_ideal(K, 3, 1, [P("x1^2+x2^2+x3^2-1", 3, K), P("x3", 3, K)])
     assert curve.dim == 1
+    assert singular_locus_dim(curve) == (-1, "jacobian")
+    monkeypatch.setattr(polar, "MINOR_CAP", 0)
+    assert singular_locus_dim(empty) == (-1, "empty")
+    assert singular_locus_dim(points) == (-1, "radical")
+    # a curve needs the Jacobian minors, whose count the cap bounds
     with pytest.raises(MinorCapExceededError):
-        singular_locus_dim(curve, cap=0)
+        singular_locus_dim(curve)
     # the radical test runs under the Groebner limits it is given
     with pytest.raises(BudgetExceededError):
         singular_locus_dim(points, GBLimits(max_pairs=5))
