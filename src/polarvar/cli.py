@@ -42,7 +42,10 @@ def _field(args) -> PrimeField:
     prime = getattr(args, "prime", None)
     if prime is None:
         env = os.environ.get("POLAR_PRIME")
-        prime = int(env) if env else DEFAULT_PRIME
+        try:
+            prime = int(env) if env else DEFAULT_PRIME
+        except ValueError:
+            raise InputError(f"POLAR_PRIME must be an integer, not {env!r}") from None
     try:
         return PrimeField(prime)
     except ValueError as exc:
@@ -52,6 +55,12 @@ def _field(args) -> PrimeField:
 def _limits(args) -> GBLimits:
     return GBLimits(max_pairs=args.max_pairs, max_basis=args.max_basis,
                     max_degree=args.max_degree)
+
+
+def _is_int_array(value) -> bool:
+    """A JSON array of integers.  JSON true and false load as bool, a
+    subclass of int, and do not count."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def _load_system(path: str, field: PrimeField) -> tuple[list[Polynomial], int]:
@@ -79,12 +88,9 @@ def _load_matrix(path: str, field: PrimeField) -> tuple[ConstMatrix, list[int] |
         col0 = data.get("col0")
     else:
         rows = data
-    if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) and all(isinstance(v, int) for v in r)
-                       for r in rows)):
+    if not isinstance(rows, list) or not rows or not all(map(_is_int_array, rows)):
         raise InputError(f"matrix file {path} must hold an array of integer rows")
-    if col0 is not None and (not isinstance(col0, list)
-                             or not all(isinstance(v, int) for v in col0)):
+    if col0 is not None and not _is_int_array(col0):
         raise InputError("col0 must be an array of integers")
     return ConstMatrix(field, rows), col0
 
@@ -250,7 +256,7 @@ def cmd_chain2(args) -> int:
                 gamma = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read gamma file: {exc}") from None
-        if not isinstance(gamma, list) or not all(isinstance(v, int) for v in gamma):
+        if not _is_int_array(gamma):
             raise InputError("gamma file must hold an integer array")
     else:
         import random

@@ -35,6 +35,7 @@ from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .field import PrimeField
+from .matrices import ConstMatrix
 from .poly import (Monomial, Polynomial, add_multiple, drl_key, monomial_divides,
                    monomial_lcm)
 
@@ -553,61 +554,6 @@ def _is_squarefree(f: Sequence[int], q: int) -> bool:
     return len(_upoly_gcd(f, df, q)) == 1
 
 
-class _WorkBudget:
-    """Counts the sparse vector operations of the radical test."""
-
-    __slots__ = ("left", "limit")
-
-    def __init__(self, limit: int):
-        self.left = self.limit = limit
-
-    def spend(self, ops: int) -> None:
-        self.left -= ops
-        if self.left < 0:
-            raise BudgetExceededError("radical-test operations", self.limit)
-
-
-def _minimal_polynomial(cols: list[list[tuple[int, int]]], q: int,
-                        budget: _WorkBudget) -> list[int]:
-    """Monic minimal polynomial, lowest degree first, of standard monomial 0
-    (the monomial 1) under the linear map whose column s is cols[s].
-
-    Krylov sequence against an incremental echelon: each power is reduced
-    by the rows found so far, tracking its combination of powers, and the
-    first power that reduces to zero spells out the polynomial; at most
-    D + 1 steps for D columns."""
-    D = len(cols)
-    rows: list[tuple[int, list[tuple[int, int]], list[int]]] = []
-    power = [0] * D
-    power[0] = 1
-    k = 0
-    while True:
-        budget.spend(len(rows) + D)
-        v = list(power)
-        combo = [0] * k + [1]
-        for pivot, row, rcombo in rows:
-            c = v[pivot] % q
-            if c:
-                for idx, x in row:
-                    v[idx] -= c * x
-                for d, x in enumerate(rcombo):
-                    combo[d] = (combo[d] - c * x) % q
-        v = [x % q for x in v]
-        pivot = next((idx for idx, x in enumerate(v) if x), -1)
-        if pivot < 0:
-            return combo
-        inv = pow(v[pivot], -1, q)
-        rows.append((pivot, [(idx, x * inv % q) for idx, x in enumerate(v) if x],
-                     [x * inv % q for x in combo]))
-        nxt = [0] * D
-        for s, x in enumerate(power):
-            if x:
-                for idx, c in cols[s]:
-                    nxt[idx] += x * c
-        power = [x % q for x in nxt]
-        k += 1
-
-
 def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> bool:
     """Whether the zero-dimensional ideal with reduced basis G is radical.
 
@@ -623,14 +569,27 @@ def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> 
     isomorphic to F_q[t]/(f), which is reduced.  Both answers are exact.
     The unit ideal counts as radical.
 
+    The minimal polynomial of x_j comes from the package's own engines: the
+    powers 1, x_j, ..., x_j^D in the standard basis, each built from the
+    previous one with add_multiple over the border normal forms, are the
+    D + 1 columns of a ConstMatrix, and the first vector of its null space
+    holds the coefficients.
+
     limits.max_pairs bounds the work, counted as the standard monomials plus
     one operation per vector combined while assembling a normal form or a
-    Krylov vector.  Going over raises BudgetExceededError; a staircase that
-    is not finite raises ValueError."""
+    power.  Going over raises BudgetExceededError; a staircase that is not
+    finite raises ValueError."""
     q, n = G.field.q, G.n
-    budget = _WorkBudget(limits.max_pairs)
+    left = limits.max_pairs
+
+    def spend(ops: int) -> None:
+        nonlocal left
+        left -= ops
+        if left < 0:
+            raise BudgetExceededError("radical-test operations", limits.max_pairs)
+
     staircase = standard_monomials(G, cap=limits.max_pairs)
-    budget.spend(len(staircase))
+    spend(len(staircase))
     D = len(staircase)
     if D == 0:
         return True
@@ -650,15 +609,29 @@ def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> 
         # normal form is smaller than b, hence already has a normal form
         k = min((k for k in range(n) if b[k] and _bump(b, k, -1) not in index),
                 key=lambda k: len(nf[_bump(b, k, -1)]))
-        budget.spend(len(nf[_bump(b, k, -1)]))
+        spend(len(nf[_bump(b, k, -1)]))
         acc: dict[int, int] = {}
         for t, c in nf[_bump(b, k, -1)].items():
             add_multiple(acc, nf[_bump(staircase[t], k)], c, q)
         nf[b] = acc
 
     for j in range(n):
-        f = _minimal_polynomial([sorted(nf[_bump(m, j)].items()) for m in staircase],
-                                q, budget)
+        times_xj = [nf[_bump(m, j)] for m in staircase]
+        powers = [{0: 1}]  # staircase[0] is the monomial 1
+        for _ in range(D):
+            spend(len(powers[-1]))
+            acc = {}
+            for t, c in powers[-1].items():
+                add_multiple(acc, times_xj[t], c, q)
+            powers.append(acc)
+        # nullspace_basis gives one vector per free column, in column order:
+        # 1 at its own free column, 0 at the other free ones and minus the
+        # RREF entry at each pivot column.  The first free column k0 is the
+        # first power that depends on the lower ones, and every RREF row
+        # whose pivot lies right of k0 is 0 at k0, so vector [0] lives on
+        # columns 0..k0: the monic minimal polynomial, lowest degree first.
+        cols = ConstMatrix(G.field, [[v.get(s, 0) for v in powers] for s in range(D)])
+        f = _trim(list(cols.nullspace_basis()[0]))
         if not _is_squarefree(f, q):
             return False
         if len(f) - 1 == D:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,7 @@ from conftest import (brute_force_dimension, count_staircase, det_cofactor,
                       random_poly, shift)
 
 MASTER_SEED = 20260810
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def degree_problems(results) -> list:
@@ -347,3 +349,17 @@ def test_criterion_12_experiment_determinism(tmp_path):
           and len(records) == 20 and all(r["match"] for r in records))
     report(12, ok, f"two runs of the experiment grid produce byte-identical "
                    f"JSON-lines ({len(records)} records)")
+
+
+@pytest.mark.parametrize("grid", ["full_grid", "delta_grid_n6", "delta_grid_small"])
+def test_grid_records_match_golden_files(request, grid):
+    """Each shared grid's records, one `json.dumps(r.to_record())` line per
+    cell as `polar experiment --out` writes them, equal the committed file
+    byte for byte.  Criterion 12 compares two runs of the same code; this
+    pins the values across changes to the engines.  The fixtures are the
+    ones the criteria use, so the comparison adds no Groebner work."""
+    results = request.getfixturevalue(grid)
+    if grid == "full_grid":
+        results = results[0]
+    lines = "".join(json.dumps(r.to_record()) + "\n" for r in results)
+    assert lines == (GOLDEN / f"{grid}.jsonl").read_text(encoding="utf-8")

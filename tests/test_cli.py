@@ -242,6 +242,28 @@ def test_prime_flag_and_env(tmp_path, capsys, monkeypatch):
     assert dispatch(["parse", "--system", str(system)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv, text, needle", [
+    (["construct", "--i", "2", "--matrix"], "[[true, false, 0]]", "integer rows"),
+    (["construct", "--flavor", "dual", "--i", "2", "--matrix"],
+     '{"rows": [[1, 0, 0]], "col0": [true]}', "col0"),
+    (["chain2", "--gamma"], "[true, 2, 3]", "gamma"),
+    (["dim"], None, "POLAR_PRIME"),
+], ids=["matrix", "col0", "gamma", "polar-prime"])
+def test_non_integer_inputs_exit_two(tmp_path, capsys, monkeypatch, argv, text,
+                                     needle):
+    # JSON true and false load as bool, a subclass of int
+    system = tmp_path / "sphere.txt"
+    system.write_text("x1^2+x2^2+x3^2-1\n")
+    if text is None:
+        monkeypatch.setenv("POLAR_PRIME", "abc")
+    else:
+        data = tmp_path / "data.json"
+        data.write_text(text)
+        argv = argv + [str(data)]
+    assert dispatch(argv + ["--system", str(system)]) == EXIT_INPUT
+    assert needle in capsys.readouterr().err
+
+
 def test_family31_subcommand(capsys):
     assert dispatch(["family31", "--n", "6", "--seed", "4", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
