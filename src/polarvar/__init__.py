@@ -19,8 +19,8 @@ from .groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarIdealResult,
                     PolarSpec, PolarSpecError, PointClassificationError,
                     SmoothnessReport, delta_ideal, incidence_fiber_dim,
-                    polar_generators, polar_ideal, polar_singular_dim,
-                    polar_stack, singular_locus_dim, singular_locus_generators,
+                    polar_generators, polar_ideal, polar_stack,
+                    singular_locus_dim, singular_locus_generators,
                     singular_locus_ideal, thom_boardman_class,
                     verify_smooth_complete_intersection)
 from .families import (ChainReport, DegreeReport, Family31Instance,

@@ -25,7 +25,7 @@ from .matrices import ConstMatrix
 from .parsing import ParseError, parse_system
 from .polar import (CLASSIC, DUAL, PolarSpec, PolarSpecError,
                     PointClassificationError, delta_ideal, incidence_fiber_dim,
-                    polar_ideal, polar_singular_dim, thom_boardman_class)
+                    polar_ideal, singular_locus_dim, thom_boardman_class)
 from .poly import Point, Polynomial
 
 EXIT_OK = 0
@@ -195,11 +195,10 @@ def cmd_singular(args) -> int:
     spec = _polar_spec(args, field, F, n)
     limits = _limits(args)
     result = polar_ideal(spec, limits)
-    dim_sing, route = polar_singular_dim(spec, result, limits)
-    mode = MODE_DELTA if route == "delta" else MODE_FULL
-    note = {"empty": " (polar variety empty)", "delta": "  (delta proxy)"}
-    _emit(args, f"{dim_sing}{note.get(route, '')}",
-          {"dim_W": result.dim, "dim_sing": dim_sing, "mode": mode})
+    dim_sing, route = singular_locus_dim(result, limits)
+    note = " (polar variety empty)" if route == "empty" else ""
+    _emit(args, f"{dim_sing}{note}",
+          {"dim_W": result.dim, "dim_sing": dim_sing, "mode": MODE_FULL})
     return EXIT_OK
 
 

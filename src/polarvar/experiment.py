@@ -6,8 +6,8 @@ uniform coefficients and one random full-rank (n-p) x n matrix, redrawing
 complete intersection.  The draw and its check are memoised, so the cells
 for every polar index i share them; cell i feeds the top n - p - i + 1
 rows of the matrix to the polar ideal and measures the dimension of its
-singular locus exactly (the radical test for a zero-dimensional polar
-variety, the Jacobian criterion otherwise) or by the degeneracy proxy.
+singular locus exactly in full mode (radical test at dimension zero,
+Jacobian criterion above) and by the degeneracy proxy in delta mode.
 
 The observed value is compared against max{-1, n - p - (2i+2)} for p > 1;
 hypersurface cells (p = 1) have empty singular locus and empty degeneracy
@@ -32,7 +32,7 @@ from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
 from .matrices import ConstMatrix, jacobian_at, system_ring
 from .poly import Point, Polynomial
 from .polar import (CLASSIC, DUAL, PolarSpec, SmoothnessReport, delta_ideal,
-                    polar_ideal, polar_singular_dim,
+                    polar_ideal, singular_locus_dim,
                     verify_smooth_complete_intersection)
 
 MODE_FULL = "full"
@@ -150,9 +150,9 @@ class CellResult:
     status: str
     redraws_used: int
     elapsed_ms: int
-    # which route decided dim_sing ("empty", "radical", "jacobian" or
-    # "delta"); None when the cell did not complete.  Not in RESULT_FIELDS,
-    # so the JSON-lines output does not carry it.
+    # which route decided dim_sing: "empty", "radical" or "jacobian" in full
+    # mode, and "delta" only in delta mode; None when the cell did not
+    # complete.  Not in RESULT_FIELDS, so the JSONL does not carry it.
     sing_route: str | None = None
 
     def to_record(self, with_timing: bool = False) -> dict:
@@ -168,48 +168,44 @@ def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS) -> CellResult:
     start = time.monotonic()
 
     def finish(status, reg=None, smooth=None, dim_w=None, deg_w=None,
-               dim_sing=None, mode=spec.mode, redraws=0, route=None) -> CellResult:
+               dim_sing=None, redraws=0, route=None) -> CellResult:
         match = (dim_sing == expected) if status == "ok" else None
         return CellResult(
             n=n, p=p, i=i, flavor=spec.flavor, prime=spec.prime, seed=spec.seed,
             regular_sequence_ok=reg, smooth_ok=smooth, dim_W=dim_w, deg_W=deg_w,
             dim_sing=dim_sing, expected_dim_sing=expected, match=match,
-            mode=mode, status=status, redraws_used=redraws,
+            mode=spec.mode, status=status, redraws_used=redraws,
             elapsed_ms=int((time.monotonic() - start) * 1000), sing_route=route)
 
-    redraws = 0
+    # every attempt before this one was a redraw
     for attempt in range(REDRAW_BUDGET + 1):
         try:
             F, a_full, report = _smooth_draw(spec.prime, n, p, spec.seed,
                                              attempt, limits)
         except BudgetExceededError:
-            return finish("skipped", redraws=redraws)
+            return finish("skipped", redraws=attempt)
         if not report.ok:
-            redraws += 1
             continue
         pspec = PolarSpec(n, p, i, spec.flavor, F,
                           a_full.submatrix(range(n - p - i + 1), range(n)))
         try:
             result = polar_ideal(pspec, limits)
         except BudgetExceededError:
-            return finish("skipped", reg=True, smooth=True, redraws=redraws)
+            return finish("skipped", reg=True, smooth=True, redraws=attempt)
         if result.dim not in (-1, n - p - i):
-            # a failed the (probabilistic) genericity requirement
-            redraws += 1
-            continue
+            continue  # a failed the (probabilistic) genericity requirement
         try:
             if spec.mode == MODE_FULL:
-                dim_sing, route = polar_singular_dim(pspec, result, limits)
+                dim_sing, route = singular_locus_dim(result, limits)
             else:
                 dim_sing, route = delta_ideal(pspec, limits).dim, "delta"
         except BudgetExceededError:
             return finish("skipped", reg=True, smooth=True, dim_w=result.dim,
-                          deg_w=result.degree, redraws=redraws)
+                          deg_w=result.degree, redraws=attempt)
         return finish("ok", reg=True, smooth=True, dim_w=result.dim,
                       deg_w=result.degree, dim_sing=dim_sing,
-                      mode=MODE_DELTA if route == "delta" else MODE_FULL,
-                      redraws=redraws, route=route)
-    return finish("redraws_exhausted", redraws=redraws)
+                      redraws=attempt, route=route)
+    return finish("redraws_exhausted", redraws=REDRAW_BUDGET + 1)
 
 
 def grid_triples(nmax: int) -> list[tuple[int, int, int]]:

@@ -57,6 +57,11 @@ class GBLimits:
     max_basis: int = 3_000
     max_degree: int = 60
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"GBLimits.{name} must be at least 1, got {value}")
+
 
 DEFAULT_LIMITS = GBLimits()
 

@@ -16,13 +16,13 @@ the Jacobian criterion, singular_locus_ideal, handles positive dimension
 and serves as the independent oracle for the radical test in the tests.
 
 MINOR_CAP bounds the number of Jacobian c-minors one singular-locus ideal
-may ask for.  It is a module constant, not a parameter: at master seed 1
-the full grid over n <= 5 at three seeds never asks for more than 1 650
-minors, and the n = 6, p <= 2 full grid hits the cap on exactly three
-cells, which ask for 27 300 to 122 094.  Only singular_locus_generators, the one builder of
-Jacobian minors, reads it, at call time, and raises MinorCapExceededError
-past it.  polar_singular_dim answers such a polar variety with the
-rank-degeneracy proxy delta_ideal instead.
+may ask for.  It is a module constant, not a parameter.  Polar generators
+are minors of the small matrix J(F)*N (_stack_minors), so a generic
+full-mode cell stays under it up to n = 7 for the classic flavor (at most
+12 012 minors, at (7,3,3)) and up to n = 6 for the dual one.  Only
+singular_locus_generators, the one builder of Jacobian minors, reads it,
+at call time; past it MinorCapExceededError is a budget error like any
+other, never a switch to the degeneracy proxy.
 """
 
 from __future__ import annotations
@@ -52,16 +52,7 @@ class PointClassificationError(ValueError):
 
 
 class MinorCapExceededError(BudgetExceededError):
-    """Jacobian-criterion minor count blew the cap; delta-proxy mode applies."""
-
-    def __init__(self, count: int, cap: int):
-        RuntimeError.__init__(
-            self, f"singular-locus minor count {count} exceeds cap {cap}; "
-            "consider the delta-proxy mode")
-        self.kind = "minors"
-        self.limit = cap
-        self.count = count
-        self.cap = cap
+    """The Jacobian criterion would build more than MINOR_CAP minors."""
 
 
 class PolarSpec:
@@ -159,10 +150,38 @@ def polar_stack(spec: PolarSpec) -> PolyMatrix:
     return jacobian(spec.F).stack(PolyMatrix(bottom))
 
 
+def _stack_minors(spec: PolarSpec, t: int) -> list[Polynomial]:
+    """Generators of the ideal of the t-minors of polar_stack(spec): the
+    (t - rho)-minors of M = [J(F); a_r - c_r*X]*N, with I_0 = (1).
+
+    Row r is the first bottom row with a nonzero offset c_r; the classic
+    flavor has none.  c_r times any other bottom row k minus c_k times row
+    r is the constant row c_r*a_k - c_k*a_r (classic: a); the columns of N
+    span the kernel of these rows and rho is their rank.  Invertible row
+    and column operations take the stack to M (+) I_rho, and they keep
+    every ideal of minors (Fitting-ideal invariance), so I_t(stack) =
+    I_{t-rho}(M)."""
+    field, n, p = spec.field, spec.n, spec.p
+    stack, c, a = polar_stack(spec).entries, spec.column0, spec.a.entries
+    r = next((k for k, ck in enumerate(c) if ck), None)
+    top, const = stack[:p], a
+    if r is not None:
+        top += (stack[p + r],)
+        const = [[c[r] * x - ck * y for x, y in zip(a[k], a[r])]
+                 for k, ck in enumerate(c) if k != r]
+    # the zero row stands in for a dual spec whose only row is row r
+    N = ConstMatrix(field, const or [[0] * n]).nullspace_basis()
+    s = t - (n - len(N))
+    if s <= 0 or s > min(len(top), len(N)):
+        return [Polynomial.constant(field, n, 1)] if s <= 0 else []
+    M = PolyMatrix([[sum((f.scale(x) for f, x in zip(row, v)),
+                         Polynomial.zero(field, n)) for v in N] for row in top])
+    return list(enumerate_minors(M, s))
+
+
 def polar_generators(spec: PolarSpec) -> list[Polynomial]:
-    """F joined with all (n-i+1)-minors of the polar stack."""
-    return list(spec.F) + list(enumerate_minors(polar_stack(spec),
-                                                spec.n - spec.i + 1))
+    """F joined with generators of the (n-i+1)-minors of the polar stack."""
+    return list(spec.F) + _stack_minors(spec, spec.n - spec.i + 1)
 
 
 def analyze_ideal(field: PrimeField, n: int, p: int,
@@ -183,9 +202,9 @@ def polar_ideal(spec: PolarSpec, limits: GBLimits = DEFAULT_LIMITS) -> PolarIdea
 
 
 def delta_ideal(spec: PolarSpec, limits: GBLimits = DEFAULT_LIMITS) -> PolarIdealResult:
-    """The rank-degeneracy ideal: F joined with all (n-i)-minors of the
-    polar stack, where the stack drops rank by two."""
-    gens = list(spec.F) + list(enumerate_minors(polar_stack(spec), spec.n - spec.i))
+    """The rank-degeneracy ideal: F joined with generators of the
+    (n-i)-minors of the polar stack, where the stack drops rank by two."""
+    gens = list(spec.F) + _stack_minors(spec, spec.n - spec.i)
     return analyze_ideal(spec.field, spec.n, spec.p, gens, limits)
 
 
@@ -205,9 +224,8 @@ def singular_locus_generators(generators: Sequence[Polynomial],
     if c < 1 or c > min(len(gens), n):
         raise PolarSpecError(
             f"codimension {c} incompatible with {len(gens)} generators in {n} vars")
-    count = comb(len(gens), c) * comb(n, c)
-    if count > MINOR_CAP:
-        raise MinorCapExceededError(count, MINOR_CAP)
+    if comb(len(gens), c) * comb(n, c) > MINOR_CAP:
+        raise MinorCapExceededError("Jacobian minors", MINOR_CAP)
     return gens + list(enumerate_minors(jacobian(gens), c))
 
 
@@ -241,19 +259,6 @@ def singular_locus_dim(result: PolarIdealResult,
     if result.dim == 0:
         return (-1 if is_radical_zero_dim(result.gb, limits) else 0), "radical"
     return singular_locus_ideal(result, limits).dim, "jacobian"
-
-
-def polar_singular_dim(spec: PolarSpec, result: PolarIdealResult,
-                       limits: GBLimits = DEFAULT_LIMITS) -> tuple[int, str]:
-    """Dimension of the singular locus of the polar variety W of `spec`,
-    whose polar ideal is `result`, and the route that decided it: the route
-    of singular_locus_dim, or "delta" when the Jacobian criterion's minor
-    count exceeds MINOR_CAP and the rank-degeneracy proxy delta_ideal
-    answers instead."""
-    try:
-        return singular_locus_dim(result, limits)
-    except MinorCapExceededError:
-        return delta_ideal(spec, limits).dim, "delta"
 
 
 @dataclass

@@ -14,7 +14,8 @@ from math import comb
 import pytest
 
 from polarvar.field import PrimeField
-from polarvar.matrices import ConstMatrix, PolyMatrix
+from polarvar.matrices import ConstMatrix, PolyMatrix, enumerate_minors
+from polarvar.polar import PolarSpec, polar_stack
 from polarvar.poly import Polynomial, add_multiple, monomial_divides
 
 
@@ -44,6 +45,13 @@ def expected_polar_degree(n: int, p: int, i: int, flavor: str) -> int:
         raise ValueError(f"no polar variety at (n, p, i) = ({n}, {p}, {i})")
     top = p + i - 1 if flavor == "classic" else p + i
     return 2 ** p * comb(top, i)
+
+
+def stack_generators(spec: PolarSpec, t: int) -> list[Polynomial]:
+    """F plus every t-minor of the whole (n-i+1) x n polar stack: the
+    definition that polar_generators (t = n-i+1) and delta_ideal
+    (t = n-i) compute from a smaller matrix."""
+    return list(spec.F) + list(enumerate_minors(polar_stack(spec), t))
 
 
 def random_poly(rng: random.Random, field: PrimeField, n: int,

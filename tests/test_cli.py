@@ -81,8 +81,8 @@ def test_delta_and_singular(circle_file, a10_file, capsys):
     assert payload["dim_sing"] == -1 and payload["mode"] == "full"
 
 
-def test_singular_falls_back_to_delta_past_the_minor_cap(tmp_path, capsys,
-                                                          monkeypatch):
+def test_singular_past_the_minor_cap_exits_three(tmp_path, capsys,
+                                                 monkeypatch):
     system = tmp_path / "sphere.txt"
     system.write_text("x1^2+x2^2+x3^2-1\n")
     matrix = tmp_path / "a.json"
@@ -97,12 +97,12 @@ def test_singular_falls_back_to_delta_past_the_minor_cap(tmp_path, capsys,
     assert "--minor-cap" in capsys.readouterr().err
     assert dispatch(["experiment", "--nmax", "2", "--minor-cap", "1"]) == EXIT_INPUT
     assert "--minor-cap" in capsys.readouterr().err
+    # past it the command stops like any other budget, with no proxy answer
     monkeypatch.setattr(polar, "MINOR_CAP", 1)
-    assert dispatch(base + ["--json"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out) == {
-        "dim_W": 1, "dim_sing": -1, "mode": "delta"}
-    assert dispatch(base) == EXIT_OK
-    assert capsys.readouterr().out == "-1  (delta proxy)\n"
+    assert dispatch(base + ["--json"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Jacobian minors limit 1" in captured.err
 
 
 def test_singular_of_an_empty_polar_variety(tmp_path, capsys):
@@ -228,6 +228,22 @@ def test_budget_exit_code(tmp_path, capsys):
     # the smoothness check of each family draw runs under the flags
     assert dispatch(["family31", "--n", "6", "--seed", "0",
                      "--max-pairs", "1", "--max-basis", "1"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("flag, value", [("--max-pairs", "-1"),
+                                         ("--max-pairs", "0"),
+                                         ("--max-basis", "0"),
+                                         ("--max-degree", "-3")])
+def test_budgets_below_one_exit_two(circle_file, capsys, flag, value):
+    field = flag[2:].replace("-", "_")
+    assert dispatch(["dim", "--system", circle_file, flag, value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
+    # the grid rejects it before any cell runs, rather than skipping them all
+    assert dispatch(["experiment", "--nmax", "3", "--json",
+                     flag, value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
 
 
 def test_prime_flag_and_env(tmp_path, capsys, monkeypatch):

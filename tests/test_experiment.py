@@ -1,5 +1,6 @@
 """Experiment harness: seeding, cell runs, grids, point sampling."""
 
+import dataclasses
 import json
 import random
 from itertools import product
@@ -16,6 +17,7 @@ from polarvar.field import PrimeField
 from polarvar.groebner import GBLimits
 from polarvar.matrices import jacobian
 from polarvar.parsing import parse_polynomial
+from polarvar.polar import SmoothnessReport
 from polarvar.poly import Polynomial, evaluate
 
 from conftest import evaluate_matrix, naive_evaluate, random_poly
@@ -260,13 +262,13 @@ def test_cell_records_singular_route(K, monkeypatch):
     starved = run_cell(CellSpec(5, 2, 3, seed=seed), GBLimits(max_pairs=50))
     assert (starved.status, starved.dim_W, starved.sing_route) == ("skipped", 0, None)
     # the cap bounds Jacobian minors only: the radical route ignores it,
-    # and the curve falls back to the delta proxy
+    # and the curve skips like a cell past any other budget
     monkeypatch.setattr(polar, "MINOR_CAP", 1)
     uncapped = run_cell(CellSpec(5, 2, 3, seed=seed))
     assert (uncapped.mode, uncapped.sing_route) == ("full", "radical")
     capped = run_cell(CellSpec(5, 2, 2, seed=seed))
-    assert (capped.mode, capped.sing_route) == ("delta", "delta")
-    assert capped.dim_sing == jacobian.dim_sing
+    assert (capped.status, capped.mode, capped.sing_route) == ("skipped", "full", None)
+    assert (capped.dim_W, capped.dim_sing, capped.match) == (1, None, None)
 
 
 def test_zero_dimensional_cell_past_the_cap_stays_full():
@@ -278,24 +280,25 @@ def test_zero_dimensional_cell_past_the_cap_stays_full():
     assert (cell.mode, cell.sing_route, cell.dim_sing) == ("full", "radical", -1)
 
 
-# the only cells of the n = 6, p <= 2 full grid at master seed 1 whose
-# Jacobian criterion asks for more minors than the default MINOR_CAP:
-# (6,1,3) 27 300, (6,1,4) 122 094 and (6,2,3) 37 128
+# the cells of the n = 6, p <= 2 full grid at master seed 1 whose Jacobian
+# criterion would pass the default MINOR_CAP if the polar generators were
+# the minors of the whole stack: (6,1,3) 27 300, (6,1,4) 122 094 and
+# (6,2,3) 37 128.  From the minors of J(F)*N they stay under it, in full mode
 _CAPPED_CELLS = [
     '{"n": 6, "p": 1, "i": 3, "flavor": "classic", "prime": 10000000019, '
     '"seed": 15384943807377822175, "regular_sequence_ok": true, '
     '"smooth_ok": true, "dim_W": 2, "deg_W": 2, "dim_sing": -1, '
-    '"expected_dim_sing": -1, "match": true, "mode": "delta", '
+    '"expected_dim_sing": -1, "match": true, "mode": "full", '
     '"status": "ok", "redraws_used": 0, "elapsed_ms": null}',
     '{"n": 6, "p": 1, "i": 4, "flavor": "classic", "prime": 10000000019, '
     '"seed": 15384943807377822175, "regular_sequence_ok": true, '
     '"smooth_ok": true, "dim_W": 1, "deg_W": 2, "dim_sing": -1, '
-    '"expected_dim_sing": -1, "match": true, "mode": "delta", '
+    '"expected_dim_sing": -1, "match": true, "mode": "full", '
     '"status": "ok", "redraws_used": 0, "elapsed_ms": null}',
     '{"n": 6, "p": 2, "i": 3, "flavor": "classic", "prime": 10000000019, '
     '"seed": 4419176716681592297, "regular_sequence_ok": true, '
     '"smooth_ok": true, "dim_W": 1, "deg_W": 16, "dim_sing": -1, '
-    '"expected_dim_sing": -1, "match": true, "mode": "delta", '
+    '"expected_dim_sing": -1, "match": true, "mode": "full", '
     '"status": "ok", "redraws_used": 0, "elapsed_ms": null}',
 ]
 
@@ -307,4 +310,69 @@ def test_default_minor_cap_falls_back_to_delta(record):
     assert want["seed"] == derive_seed(1, n, p, 0)
     cell = run_cell(CellSpec(n, p, i, seed=want["seed"]))
     assert json.dumps(cell.to_record()) == record
-    assert (cell.mode, cell.sing_route, cell.match) == ("delta", "delta", True)
+    assert (cell.mode, cell.sing_route, cell.match) == ("full", "jacobian", True)
+
+
+# at prime 7 the first draws of (4,3) at seed indices 0 and 1 are not
+# smooth, so run_cell redraws once for them
+_REDRAWN_CELLS = [
+    '{"n": 4, "p": 3, "i": 1, "flavor": "classic", "prime": 7, '
+    '"seed": 14227497779494753458, "regular_sequence_ok": true, '
+    '"smooth_ok": true, "dim_W": 0, "deg_W": 24, "dim_sing": -1, '
+    '"expected_dim_sing": -1, "match": true, "mode": "full", '
+    '"status": "ok", "redraws_used": 1, "elapsed_ms": null}',
+    '{"n": 4, "p": 3, "i": 1, "flavor": "classic", "prime": 7, '
+    '"seed": 14889571637866454010, "regular_sequence_ok": true, '
+    '"smooth_ok": true, "dim_W": 0, "deg_W": 24, "dim_sing": -1, '
+    '"expected_dim_sing": -1, "match": true, "mode": "full", '
+    '"status": "ok", "redraws_used": 1, "elapsed_ms": null}',
+]
+
+
+def test_non_smooth_draws_are_redrawn():
+    results = run_grid(4, seeds=3, master_seed=1, prime=7)
+    redrawn = [json.dumps(r.to_record()) for r in results if r.redraws_used]
+    assert redrawn == _REDRAWN_CELLS
+    assert {derive_seed(1, 4, 3, k) for k in (0, 1)} == \
+        {json.loads(rec)["seed"] for rec in _REDRAWN_CELLS}
+    assert all(r.status == "ok" for r in results)
+
+
+@pytest.fixture
+def fresh_draws():
+    """An empty draw memo before and after the test, so that no draw made
+    under a monkeypatch outlives it."""
+    experiment._smooth_draw.cache_clear()
+    yield
+    experiment._smooth_draw.cache_clear()
+
+
+def test_non_generic_matrix_is_redrawn(fresh_draws, monkeypatch):
+    # attempt 0 reports a polar variety of the wrong dimension, as a special
+    # matrix would: the cell redraws and answers from attempt 1
+    polar_ideal, dims = experiment.polar_ideal, []
+
+    def wrong_dimension_first(pspec, limits):
+        result = polar_ideal(pspec, limits)
+        dims.append(result.dim)
+        if len(dims) == 1:
+            result = dataclasses.replace(result, dim=result.dim + 1)
+        return result
+
+    monkeypatch.setattr(experiment, "polar_ideal", wrong_dimension_first)
+    cell = run_cell(CellSpec(5, 2, 2, seed=derive_seed(0, 5, 2, 0)))
+    assert dims == [1, 1]
+    assert (cell.status, cell.redraws_used, cell.dim_W) == ("ok", 1, 1)
+    assert (cell.dim_sing, cell.match) == (-1, True)
+
+
+def test_redraws_exhausted(fresh_draws, monkeypatch):
+    never_smooth = SmoothnessReport(regular_sequence_ok=True, smooth_ok=False,
+                                    prefix_dims=(4, 3))
+    monkeypatch.setattr(experiment, "verify_smooth_complete_intersection",
+                        lambda F, limits: never_smooth)
+    cell = run_cell(CellSpec(5, 2, 2, seed=derive_seed(0, 5, 2, 0)))
+    assert cell.status == "redraws_exhausted"
+    assert cell.redraws_used == experiment.REDRAW_BUDGET + 1
+    assert (cell.smooth_ok, cell.dim_W, cell.dim_sing, cell.match) == \
+        (None, None, None, None)

@@ -377,6 +377,15 @@ def test_budget_errors_are_explicit(K):
         gb_of(K, 3, gens, limits=low_degree)
 
 
+@pytest.mark.parametrize("field", ["max_pairs", "max_basis", "max_degree"])
+def test_budgets_below_one_are_rejected(field):
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"GBLimits.{field} must be at "
+                                             f"least 1, got {value}"):
+            GBLimits(**{field: value})
+    assert getattr(GBLimits(**{field: 1}), field) == 1
+
+
 def test_presentation_normalizes(K):
     gens = [Polynomial.zero(K, 2), P("2*x1", 2, K), P("x1", 2, K),
             P("3*x2", 2, K)]

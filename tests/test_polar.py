@@ -15,21 +15,25 @@ from polarvar.poly import Polynomial
 from polarvar.polar import (MinorCapExceededError, PolarSpec, PolarSpecError,
                             PointClassificationError, analyze_ideal,
                             delta_ideal, incidence_fiber_dim,
-                            polar_generators, polar_ideal, polar_singular_dim,
-                            polar_stack,
+                            polar_generators, polar_ideal, polar_stack,
                             singular_locus_dim, singular_locus_generators,
                             singular_locus_ideal,
                             thom_boardman_class,
                             verify_smooth_complete_intersection)
-from polarvar import polar
+from polarvar import experiment, polar
 from polarvar.experiment import (derive_seed, random_dense_poly,
                                  random_full_rank_matrix, run_grid)
+from polarvar.families import example2_matrix
 
-from conftest import evaluate_matrix, naive_evaluate
+from conftest import evaluate_matrix, naive_evaluate, stack_generators
 
 
 def P(text, n, field):
     return parse_polynomial(text, n, field)
+
+
+def reduced_basis(spec, gens):
+    return reduced_groebner_basis(IdealPresentation(spec.field, spec.n, gens)).basis
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +157,9 @@ def test_delta_minor_bookkeeping_at_top_index(K):
     spec = PolarSpec.classic(n, p, i, [sphere], ConstMatrix(field, [[1, 2, 3]]))
     polar_gens = polar_generators(spec)
     delta_gens = [sphere] + list(enumerate_minors(polar_stack(spec), n - i))
-    assert len(polar_gens) == 1 + 3   # F plus C(3,2) maximal minors
+    # the polar generators span the ideal of F and the C(3,2) maximal minors
+    assert reduced_basis(spec, polar_gens) == \
+        reduced_basis(spec, stack_generators(spec, n - i + 1))
     assert len(delta_gens) == 1 + comb(n - i + 1, n - i) * comb(n, n - i)
     G = reduced_groebner_basis(
         IdealPresentation(field, n, delta_gens))
@@ -213,9 +219,9 @@ def test_minor_cap_triggers_explicit_error(K, monkeypatch):
     monkeypatch.setattr(polar, "MINOR_CAP", 8)
     with pytest.raises(MinorCapExceededError) as info:
         singular_locus_generators(gens, 2)
-    assert (info.value.count, info.value.cap) == (9, 8)
-    assert str(info.value) == ("singular-locus minor count 9 exceeds cap 8; "
-                               "consider the delta-proxy mode")
+    assert (info.value.kind, info.value.limit) == ("Jacobian minors", 8)
+    assert str(info.value) == ("groebner budget exceeded: Jacobian minors "
+                               "limit 8")
     # one budget family: a caller catching BudgetExceededError sees it
     assert isinstance(info.value, BudgetExceededError)
 
@@ -250,27 +256,29 @@ def test_radical_route_matches_jacobian_on_grid(monkeypatch):
             checked.append(both_routes(result))
         return singular_locus_dim(result, limits)
 
-    monkeypatch.setattr(polar, "singular_locus_dim", recording)
+    monkeypatch.setattr(experiment, "singular_locus_dim", recording)
     results = run_grid(4, seeds=3)
     assert all(r.status == "ok" for r in results)
     assert len(checked) == 18  # six zero-dimensional triples, three seeds
     assert all(radical == jacobian for radical, jacobian in checked)
 
 
-def test_polar_singular_dim_routes(K, circle, sphere, monkeypatch):
+def test_singular_locus_dim_routes_on_polar_ideals(K, circle, sphere,
+                                                   monkeypatch):
     empty = PolarSpec.classic(2, 1, 1, [P("x1", 2, K)], ConstMatrix(K, [[3, 7]]))
-    assert polar_singular_dim(empty, polar_ideal(empty)) == (-1, "empty")
+    assert singular_locus_dim(polar_ideal(empty)) == (-1, "empty")
     points = PolarSpec.classic(2, 1, 1, [circle], ConstMatrix(K, [[1, 0]]))
-    assert polar_singular_dim(points, polar_ideal(points)) == (-1, "radical")
+    assert singular_locus_dim(polar_ideal(points)) == (-1, "radical")
     curve = PolarSpec.classic(3, 1, 1, [sphere],
                               ConstMatrix(K, [[1, 0, 0], [0, 1, 0]]))
     R = polar_ideal(curve)
-    assert polar_singular_dim(curve, R) == (-1, "jacobian")
+    assert singular_locus_dim(R) == (-1, "jacobian")
     with pytest.raises(BudgetExceededError):
-        polar_singular_dim(points, polar_ideal(points), GBLimits(max_pairs=3))
-    # past the minor cap the rank-degeneracy proxy answers
+        singular_locus_dim(polar_ideal(points), GBLimits(max_pairs=3))
+    # past the minor cap the budget error propagates: there is no proxy
     monkeypatch.setattr(polar, "MINOR_CAP", 1)
-    assert polar_singular_dim(curve, R) == (delta_ideal(curve).dim, "delta")
+    with pytest.raises(MinorCapExceededError):
+        singular_locus_dim(R)
 
 
 def test_singular_locus_dim_preconditions(K, monkeypatch):
@@ -435,3 +443,107 @@ def test_fiber_rejects_wrong_index_or_row_count(K, sphere):
                  (one_row, 3)):
         with pytest.raises(PolarSpecError):
             incidence_fiber_dim([sphere], a, [0, 0, 1], i)
+
+
+# ------------------------------------------- the full-stack oracle gate
+
+
+def assert_matches_the_full_stack(spec):
+    """Polar and delta bases equal those of F plus the minors of the whole
+    polar stack."""
+    t = spec.n - spec.i + 1
+    assert polar_ideal(spec).gb.basis == \
+        reduced_basis(spec, stack_generators(spec, t))
+    assert delta_ideal(spec).gb.basis == \
+        reduced_basis(spec, stack_generators(spec, t - 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_polar_and_delta_bases_match_the_full_stack(K, n):
+    # every (n, p, i): classic, dual at the default offsets, and dual at the
+    # offsets of example2_matrix, whose offset row is the last one
+    for p in range(1, n):
+        rng = random.Random(derive_seed(5, n, p))
+        F = [random_dense_poly(rng, K, n) for _ in range(p)]
+        for i in range(1, n - p + 1):
+            a = random_full_rank_matrix(rng, K, n - p - i + 1, n)
+            B = example2_matrix(K, n, p, i,
+                                [rng.randrange(1, K.q) for _ in range(n)])
+            for spec in (PolarSpec.classic(n, p, i, F, a),
+                         PolarSpec.dual(n, p, i, F, a),
+                         PolarSpec.dual(n, p, i, F, B,
+                                        column0=[0] * (B.rows - 1) + [1])):
+                assert_matches_the_full_stack(spec)
+
+
+def test_degenerate_specs_match_the_full_stack(K, circle, sphere):
+    F = [sphere]
+    specs = [
+        # the circle about its center: the offset row is the only row
+        PolarSpec.dual(2, 1, 1, [circle], ConstMatrix(K, [[0, 0]]),
+                       column0=[1], strict=False),
+        # a zero row, without and with offsets
+        PolarSpec.classic(3, 1, 1, F, ConstMatrix(K, [[1, 2, 0], [0, 0, 0]]),
+                          strict=False),
+        PolarSpec.dual(3, 1, 1, F, ConstMatrix(K, [[0, 0, 0], [1, 2, 3]]),
+                       column0=[0, 1], strict=False),
+        # dependent rows; the dual ones leave a zero constant row
+        PolarSpec.classic(3, 1, 1, F, ConstMatrix(K, [[1, 2, 3], [2, 4, 6]]),
+                          strict=False),
+        PolarSpec.dual(3, 1, 1, F, ConstMatrix(K, [[1, 2, 3], [2, 4, 6]]),
+                       column0=[1, 2], strict=False),
+        PolarSpec.dual(3, 1, 1, F, ConstMatrix(K, [[1, 2, 3], [2, 4, 6]]),
+                       column0=[3, 0], strict=False),
+    ]
+    for spec in specs:
+        assert_matches_the_full_stack(spec)
+
+
+def test_stack_minors_match_the_full_stack_property(F7):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def specs(draw):
+        n = draw(st.integers(2, 4))
+        p = draw(st.integers(1, n - 1))
+        i = draw(st.integers(1, n - p))
+        rows = n - p - i + 1
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        F = [random_dense_poly(rng, F7, n) for _ in range(p)]
+        # entries and offsets are zero half the time, so zero rows,
+        # dependent rows and zero offsets all occur
+        entry = st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5, 6])
+        a = [[draw(entry) for _ in range(n)] for _ in range(rows)]
+        column0 = [draw(entry) for _ in range(rows)]
+        return PolarSpec.dual(n, p, i, F, ConstMatrix(F7, a), column0,
+                              strict=False)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(specs())
+    def check(spec):
+        assert_matches_the_full_stack(spec)
+
+    check()
+
+
+@pytest.mark.parametrize("flavor, nmax", [("classic", 7), ("dual", 6)])
+def test_jacobian_minor_traffic_stays_under_the_cap(K, flavor, nmax):
+    # the module docstring's claim: on a generic draw no positive-
+    # dimensional full-mode cell asks the Jacobian criterion for more than
+    # MINOR_CAP minors, C(g, c) * C(n, c) with c = p + i; no basis is built
+    worst = 0
+    for n in range(2, nmax + 1):
+        for p in range(1, n):
+            rng = random.Random(derive_seed(3, n, p))
+            F = [random_dense_poly(rng, K, n) for _ in range(p)]
+            a = random_full_rank_matrix(rng, K, n - p, n)
+            for i in range(1, n - p):
+                spec = PolarSpec(n, p, i, flavor, F,
+                                 a.submatrix(range(n - p - i + 1), range(n)))
+                g = len(IdealPresentation(K, n, polar_generators(spec)).generators)
+                worst = max(worst, comb(g, p + i) * comb(n, p + i))
+    assert worst <= polar.MINOR_CAP
+    if flavor == "classic":
+        assert worst == 12_012  # at (7,3,3): 13 generators, c = 6
