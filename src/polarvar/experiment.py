@@ -10,8 +10,10 @@ singular locus exactly in full mode (radical test at dimension zero,
 Jacobian criterion above) and by the degeneracy proxy in delta mode.
 
 The observed value is compared against max{-1, n - p - (2i+2)} for p > 1;
-hypersurface cells (p = 1) have empty singular locus and empty degeneracy
-locus outright, since the constant rows alone already carry full rank.
+hypersurface cells (p = 1) are expected to have empty singular locus and
+empty degeneracy locus.  That holds for the classic flavor, since its
+constant rows alone already carry full rank; dual bottom rows are not
+constant, so for dual cells the same value is an expectation, not a fact.
 
 All randomness flows from one 64-bit master seed through a splitmix64-style
 derivation keyed by (n, p, seed index, attempt); runs with equal flags and
@@ -61,7 +63,9 @@ def derive_seed(*parts: int) -> int:
 
 def expected_singular_dim(n: int, p: int, i: int) -> int:
     """The experiment's target value: hypersurface polar varieties are
-    always smooth, otherwise max{-1, n - p - (2i+2)}."""
+    smooth, otherwise max{-1, n - p - (2i+2)}.  The p = 1 rule holds for
+    the classic flavor, whose constant rows carry full rank; dual cells
+    get the same value, though their bottom rows are not constant."""
     if p == 1:
         return -1
     return max(-1, n - p - (2 * i + 2))
@@ -81,6 +85,9 @@ def random_dense_poly(rng: random.Random, field: PrimeField, n: int) -> Polynomi
 
 def random_full_rank_matrix(rng: random.Random, field: PrimeField, rows: int,
                             cols: int) -> ConstMatrix:
+    """Uniform rows x cols draws until one has rank `rows`."""
+    if rows > cols:
+        raise ValueError(f"no {rows} x {cols} matrix has rank {rows}")
     while True:
         M = ConstMatrix(field, [[rng.randrange(field.q) for _ in range(cols)]
                                 for _ in range(rows)])

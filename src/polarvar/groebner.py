@@ -362,15 +362,20 @@ def reduced_groebner_basis(I: IdealPresentation,
     return GroebnerBasis(field, n, reduced)
 
 
+def _packed_basis(G: GroebnerBasis, degree: int) -> tuple[_Packing, list[_Elem]]:
+    """G packed wide enough for G and for polynomials up to `degree`."""
+    pk = _Packing(G.n, max([degree, *(g.total_degree() for g in G.basis)]))
+    return pk, [_Elem(pk.pack_terms(g.terms), pk.pack(lm), 0, pk)
+                for g, lm in zip(G.basis, G.leading_monomials)]
+
+
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f modulo G; zero exactly when f lies in the ideal."""
     if f.field != G.field or f.n != G.n:
         raise ValueError("polynomial and basis live in different ambient rings")
     if f.is_zero:
         return f
-    pk = _Packing(f.n, max(g.total_degree() for g in (f, *G.basis)))
-    elems = [_Elem(pk.pack_terms(g.terms), pk.pack(lm), 0, pk)
-             for g, lm in zip(G.basis, G.leading_monomials)]
+    pk, elems = _packed_basis(G, f.total_degree())
     rem, _ = _reduce_full(pk.pack_terms(f.terms), elems, f.field.q, 0, pk)
     return Polynomial(f.field, f.n, pk.unpack_terms(rem), _clean=True)
 
@@ -488,9 +493,9 @@ def degree(G: GroebnerBasis) -> int:
     return sum(num)
 
 
-def _bump(m: Monomial, j: int, by: int = 1) -> Monomial:
-    """m with the exponent of x_(j+1) raised by `by`."""
-    return m[:j] + (m[j] + by,) + m[j + 1:]
+def _bump(m: Monomial, j: int) -> Monomial:
+    """m times x_(j+1)."""
+    return m[:j] + (m[j] + 1,) + m[j + 1:]
 
 
 def standard_monomials(G: GroebnerBasis, cap: int = 10**6) -> list[Monomial]:
@@ -531,59 +536,48 @@ def standard_monomials(G: GroebnerBasis, cap: int = 10**6) -> list[Monomial]:
 # ------------------------------------------------------------- radical test
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _upoly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
-    """Euclid over F_q on coefficient lists, lowest degree first."""
-    a, b = _trim(list(a)), _trim(list(b))
+def _upoly_gcd(a: dict, b: dict, q: int) -> dict:
+    """Euclid over F_q on {degree: coefficient} dicts."""
+    a, b = dict(a), dict(b)
     while b:
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):
-            c = a[-1] * inv % q
-            shift = len(a) - len(b)
-            for k, x in enumerate(b):
-                a[shift + k] = (a[shift + k] - c * x) % q
-            _trim(a)
+        top = max(b)
+        inv = pow(b[top], -1, q)
+        while a and (lead := max(a)) >= top:
+            add_multiple(a, {k + lead - top: c for k, c in b.items()}, -a[lead] * inv, q)
         a, b = b, a
     return a
 
 
-def _is_squarefree(f: Sequence[int], q: int) -> bool:
+def _is_squarefree(f: dict, q: int) -> bool:
     """gcd(f, f') = 1 for f of positive degree; f' = 0 makes f a p-th power
     over the perfect field F_q, and gcd(f, 0) = f then fails the test."""
-    df = [k * c % q for k, c in enumerate(f)][1:]
-    return len(_upoly_gcd(f, df, q)) == 1
+    df = {k - 1: k * c % q for k, c in f.items() if k * c % q}
+    return max(_upoly_gcd(f, df, q)) == 0
 
 
 def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> bool:
     """Whether the zero-dimensional ideal with reduced basis G is radical.
 
-    R/I has the D standard monomials as a basis.  Multiplication by x_j
-    sends a standard monomial to a standard one or to a border monomial b,
-    whose normal form is read off the basis element led by b or, FGLM-style
-    (Faugere-Gianni-Lazard-Mora, JSC 1993), assembled from the normal form
-    of a smaller border monomial b / x_k.  Over the perfect field F_q, R/I
-    is reduced exactly when every minimal polynomial of x_j is squarefree
-    (Seidenberg's lemma).  The variables are tested in order, and the loop
-    stops early both ways: a minimal polynomial with a repeated factor
-    refutes reducedness, and a squarefree one of degree D makes R/I
-    isomorphic to F_q[t]/(f), which is reduced.  Both answers are exact.
-    The unit ideal counts as radical.
+    R/I has the D standard monomials as a basis, and multiplication by x_j
+    sends the standard monomial s to the remainder of x_j*s modulo G, which
+    _reduce_full computes like every other normal form.  Over the perfect
+    field F_q, R/I is reduced exactly when every minimal polynomial of x_j
+    is squarefree (Seidenberg's lemma).  The variables are tested in order,
+    and the loop stops early both ways: a minimal polynomial with a
+    repeated factor refutes reducedness, and a squarefree one of degree D
+    makes R/I isomorphic to F_q[t]/(f), which is reduced.  Both answers are
+    exact.  The unit ideal counts as radical.
 
     The minimal polynomial of x_j comes from the package's own engines: the
     powers 1, x_j, ..., x_j^D in the standard basis, each built from the
-    previous one with add_multiple over the border normal forms, are the
+    previous one with add_multiple over the multiplication map, are the
     D + 1 columns of a ConstMatrix, and the first vector of its null space
     holds the coefficients.
 
-    limits.max_pairs bounds the work, counted as the standard monomials plus
-    one operation per vector combined while assembling a normal form or a
-    power.  Going over raises BudgetExceededError; a staircase that is not
-    finite raises ValueError."""
+    limits.max_pairs bounds the work, counted as the standard monomials,
+    the terms of each remainder x_j*s, and one operation per vector
+    combined in a power.  Going over raises BudgetExceededError; a
+    staircase that is not finite raises ValueError."""
     q, n = G.field.q, G.n
     left = limits.max_pairs
 
@@ -598,30 +592,17 @@ def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> 
     D = len(staircase)
     if D == 0:
         return True
-    index = {m: k for k, m in enumerate(staircase)}
-    lead = dict(zip(G.leading_monomials, G.basis))
-    nf: dict[Monomial, dict[int, int]] = {m: {k: 1} for m, k in index.items()}
-
-    border = sorted({_bump(m, j) for m in staircase for j in range(n)}
-                    - index.keys(), key=drl_key)
-    for b in border:
-        g = lead.get(b)
-        if g is not None:
-            nf[b] = {index[m]: -c % q for m, c in g.terms.items() if m != b}
-            continue
-        # b is a proper multiple of a leading monomial, so some b / x_k is
-        # a smaller border monomial; x_k times each standard monomial of its
-        # normal form is smaller than b, hence already has a normal form
-        k = min((k for k in range(n) if b[k] and _bump(b, k, -1) not in index),
-                key=lambda k: len(nf[_bump(b, k, -1)]))
-        spend(len(nf[_bump(b, k, -1)]))
-        acc: dict[int, int] = {}
-        for t, c in nf[_bump(b, k, -1)].items():
-            add_multiple(acc, nf[_bump(staircase[t], k)], c, q)
-        nf[b] = acc
+    # degrevlex respects degree, so reducing x_j*s only makes terms of
+    # degree at most 1 + deg s, and the staircase ends at its top degree
+    pk, elems = _packed_basis(G, 1 + sum(staircase[-1]))
+    index = {pk.pack(m): k for k, m in enumerate(staircase)}
 
     for j in range(n):
-        times_xj = [nf[_bump(m, j)] for m in staircase]
+        times_xj = []
+        for s in staircase:
+            rem, _ = _reduce_full({pk.pack(_bump(s, j)): 1}, elems, q, 0, pk)
+            spend(len(rem))
+            times_xj.append({index[m]: c for m, c in rem.items()})
         powers = [{0: 1}]  # staircase[0] is the monomial 1
         for _ in range(D):
             spend(len(powers[-1]))
@@ -636,10 +617,10 @@ def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> 
         # whose pivot lies right of k0 is 0 at k0, so vector [0] lives on
         # columns 0..k0: the monic minimal polynomial, lowest degree first.
         cols = ConstMatrix(G.field, [[v.get(s, 0) for v in powers] for s in range(D)])
-        f = _trim(list(cols.nullspace_basis()[0]))
+        f = {k: c for k, c in enumerate(cols.nullspace_basis()[0]) if c}
         if not _is_squarefree(f, q):
             return False
-        if len(f) - 1 == D:
+        if max(f) == D:
             return True
     return True
 

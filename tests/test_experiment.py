@@ -64,6 +64,9 @@ def test_random_full_rank_matrix(K):
     rng = random.Random(9)
     M = random_full_rank_matrix(rng, K, 3, 5)
     assert M.rank() == 3
+    # rank can never reach the row count: refused before any draw
+    with pytest.raises(ValueError):
+        random_full_rank_matrix(random.Random(0), PrimeField(7), 3, 2)
 
 
 def test_cell_spec_validation():

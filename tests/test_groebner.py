@@ -7,8 +7,9 @@ from itertools import combinations
 import pytest
 
 from polarvar.groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
-                               IdealPresentation, _Packing, degree, dimension,
-                               hilbert_numerator, localize_rabinowitsch,
+                               IdealPresentation, _is_squarefree, _Packing,
+                               degree, dimension, hilbert_numerator,
+                               localize_rabinowitsch,
                                normal_form, reduced_groebner_basis,
                                is_radical_zero_dim, standard_monomials)
 from polarvar.parsing import parse_polynomial
@@ -195,10 +196,13 @@ def test_generator_above_the_degree_limit(K):
 def test_normal_form_width_covers_f_and_the_basis(K):
     high = gb_of(K, 2, ["x1^200 - x2", "x2^2 - 1"])
     low = gb_of(K, 2, ["x1^2 - x2", "x2^3 - 1"])
+    zero = reduced_groebner_basis(IdealPresentation(K, 2, []))
     # fields sized for f alone would not hold the leads of `high`, nor
-    # fields sized for the basis alone the terms of x1^300*x2
+    # fields sized for the basis alone the terms of x1^300*x2; modulo the
+    # zero ideal's empty basis f is its own normal form
     for G, text in [(high, "x1^3*x2 + x2^3 + x1"), (high, "x1^201 + x2"),
-                    (high, "x2 + 1"), (low, "x1^300*x2 + x1"), (low, "x1^2")]:
+                    (high, "x2 + 1"), (low, "x1^300*x2 + x1"), (low, "x1^2"),
+                    (zero, "x1^3*x2 + x2 - 1")]:
         f = P(text, 2, K)
         assert normal_form(f, G) == naive_normal_form(f, G.basis)
 
@@ -314,9 +318,18 @@ def test_is_radical_zero_dim_examples(K, F7):
         is_radical_zero_dim(gb_of(K, 2, ["x1^2"]))  # x2 is free
 
 
+def test_is_squarefree_over_f7():
+    # {degree: coefficient} over F_7
+    assert not _is_squarefree({7: 1, 0: 4}, 7)  # t^7 - 3 = (t - 3)^7, f' = 0
+    assert _is_squarefree({7: 1, 1: 6}, 7)  # t^7 - t, f' = -1
+    assert not _is_squarefree({7: 1, 2: 1}, 7)  # t^7 + t^2, f' = 2t
+    assert not _is_squarefree({3: 1, 2: 6, 1: 6, 0: 1}, 7)  # (t - 1)^2 (t + 1)
+    assert _is_squarefree({2: 1, 0: 1}, 7)  # t^2 + 1
+
+
 def test_is_radical_zero_dim_budget(K):
-    # D = 4 standard monomials, then border normal forms and two Krylov
-    # sequences: a budget below the work needed fails loudly
+    # D = 4 standard monomials, then the remainders of x_j*s and the powers
+    # of x_j: a budget below the work needed fails loudly
     four_points = gb_of(K, 2, ["x1^2-1", "x2^2-1"])
     with pytest.raises(BudgetExceededError):
         is_radical_zero_dim(four_points, GBLimits(max_pairs=3))
