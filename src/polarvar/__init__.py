@@ -13,7 +13,7 @@ from .parsing import ParseError, parse_polynomial, parse_system
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
                        enumerate_minors, jacobian, jacobian_at)
 from .groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
-                       IdealPresentation, degree, dimension, hilbert_numerator,
+                       IdealPresentation, InternalError, degree, dimension, hilbert_numerator,
                        is_radical_zero_dim, localize_rabinowitsch, normal_form,
                        reduced_groebner_basis, standard_monomials)
 from .polar import (CLASSIC, DUAL, MinorCapExceededError, PolarIdealResult,

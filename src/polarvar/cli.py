@@ -2,8 +2,9 @@
 
 Inputs are validated and parsed before any Groebner work starts.  Exit
 codes: 0 success, 1 verification mismatch, 2 input error, 3 resource
-budget exceeded.  The POLAR_PRIME environment variable overrides the
-default modulus; every flag that draws randomness is seeded explicitly.
+budget exceeded, 4 internal error (a failed invariant of the package).
+The POLAR_PRIME environment variable overrides the default modulus; every
+flag that draws randomness is seeded explicitly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .families import (FamilyDrawError, build_family_31, degree_domination_check
                         example2_chain, verify_singular_witness)
 from .field import DEFAULT_PRIME, PrimeField
 from .groebner import (DEFAULT_LIMITS, BudgetExceededError, GBLimits,
-                       IdealPresentation, degree, dimension,
+                       IdealPresentation, InternalError, degree, dimension,
                        reduced_groebner_basis)
 from .matrices import ConstMatrix
 from .parsing import ParseError, parse_system
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -452,6 +454,9 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main(argv: Sequence[str] | None = None) -> None:

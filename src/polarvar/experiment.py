@@ -300,11 +300,14 @@ def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
     regular/singular by the rank of jacobian_at.
 
     The scan substitutes x1 = 0..q-1 into the term vectors of every F_k,
-    then x2, and so on, reading values from one table of residue powers; a
-    branch ends as soon as a substituted F_k is a nonzero constant, so no
-    point is evaluated from scratch.  Raises ValueError when F is empty,
-    mixes rings or has no variables, and when the q^n points of the ambient
-    space exceed ENUMERATION_LIMIT."""
+    then x2, and so on up to x_(n-1), reading values from one table of
+    residue powers; a branch ends as soon as a substituted F_k is a nonzero
+    constant, so no point is evaluated from scratch.  With x_n left, each
+    F_k is a polynomial in x_n: the sweep keeps the values of x_n where
+    F_1 vanishes, then those where F_2 also vanishes, and so on, and stops
+    once none are left.  Raises ValueError when F is empty, mixes rings or
+    has no variables, and when the q^n points of the ambient space exceed
+    ENUMERATION_LIMIT."""
     F = list(F)
     field, n = system_ring(F)
     q = field.q
@@ -314,13 +317,30 @@ def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
     p = len(F)
     top = max(f.total_degree() for f in F)
     powers = [[pow(v, e, q) for e in range(top + 1)] for v in range(q)]
+    columns = list(zip(*powers))  # columns[e][v] = v^e
     vectors, plans = zip(*map(_substitution_plans, F))
+    # the exponent of x_n in each entry of F_k's term vector over x_n alone
+    last_exponents = [[e for e, _ in plan[n - 1][0]] for plan in plans]
     found: list[tuple[Point, bool]] = []
 
+    def sweep(vectors, prefix: tuple[int, ...]) -> None:
+        roots = range(q)
+        for exponents, vec in zip(last_exponents, vectors):
+            values = [0] * len(roots)
+            for e, c in zip(exponents, vec):
+                if c:
+                    col = columns[e]
+                    values = [s + c * col[v] for s, v in zip(values, roots)]
+            roots = [v for v, s in zip(roots, values) if not s % q]
+            if not roots:
+                return
+        for v in roots:
+            x = prefix + (v,)
+            found.append((Point(field, x), jacobian_at(F, x).rank() == p))
+
     def scan(k: int, vectors, prefix: tuple[int, ...]) -> None:
-        if k == n:
-            found.append((Point(field, prefix),
-                          jacobian_at(F, prefix).rank() == p))
+        if k == n - 1:
+            sweep(vectors, prefix)
             return
         level = [plan[k] for plan in plans]
         for v in range(q):

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .field import PrimeField
 from .groebner import (DEFAULT_LIMITS, GBLimits, IdealPresentation,
-                       localize_rabinowitsch, normal_form)
+                       InternalError, localize_rabinowitsch, normal_form)
 from .experiment import random_full_rank_matrix
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
                        enumerate_minors, jacobian, jacobian_at, system_ring)
@@ -299,7 +299,7 @@ def example1_transform(n: int, p: int, i: int, z: Sequence[int],
         for col in range(n):
             want = 1 if col == p + i - 1 + r else 0
             if prod[r, col] != want:
-                raise AssertionError("inverse slice identity failed")
+                raise InternalError("inverse slice identity failed")
     return B
 
 

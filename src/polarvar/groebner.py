@@ -40,6 +40,11 @@ from .poly import (Monomial, Polynomial, add_multiple, drl_key, monomial_divides
                    monomial_lcm)
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a defect of the package, not bad input
+    and not a resource budget."""
+
+
 class BudgetExceededError(RuntimeError):
     """A configured resource limit was hit before the computation finished."""
 
@@ -487,7 +492,7 @@ def degree(G: GroebnerBasis) -> int:
     dim_hilbert = G.n - strips
     combinatorial = dimension(G)
     if dim_hilbert != combinatorial:
-        raise AssertionError(
+        raise InternalError(
             f"staircase dimension mismatch: hilbert {dim_hilbert} vs "
             f"combinatorial {combinatorial}")
     return sum(num)

@@ -4,8 +4,9 @@ Covers the linear-algebra layer the polar constructions sit on: Jacobian
 assembly and evaluation at a point, division-free symbolic determinants and
 streaming minor enumeration (both by one memoised Laplace expansion, minors
 in a fixed lexicographic subset order), and one row reduction of an
-evaluated matrix over the prime field, which gives its rank, the rank of
-every prefix of its rows and its null space.
+evaluated matrix over the prime field, kept on the matrix, which gives its
+rank, the rank of every prefix of its rows, the rank of further rows
+modulo its row space, and its null space.
 """
 
 from __future__ import annotations
@@ -17,13 +18,44 @@ from .field import PrimeField
 from .poly import Point, Polynomial, add_multiple, differentiate, point_values
 
 
-class ConstMatrix:
-    """Dense rectangular matrix of canonical residues."""
+def _eliminate(rows, pivots: list[tuple[int, list[int]]], q: int) -> list[int]:
+    """Reduce each row in turn against the pivot rows, appending it as a new
+    (pivot column, monic row) when it does not vanish, so that each pivot
+    row is zero at the pivot columns before it; returns len(pivots) after
+    each row.  The existing pivot rows are read, never changed."""
+    ranks = []
+    for row in rows:
+        v = row
+        for col, pr in pivots:
+            f = v[col]
+            if f:
+                v = [(x - f * y) % q for x, y in zip(v, pr)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, q)
+            pivots.append((lead, [x * inv % q for x in v]))
+        ranks.append(len(pivots))
+    return ranks
 
-    __slots__ = ("field", "rows", "cols", "entries")
+
+class ConstMatrix:
+    """Dense rectangular matrix of canonical residues.  Its row reduction
+    is built on first use and kept, which is exact because the matrix is
+    never changed."""
+
+    __slots__ = ("field", "rows", "cols", "entries", "_echelon_form")
 
     def __init__(self, field: PrimeField, entries: Sequence[Sequence[int]]):
-        rows = [tuple(v % field.q for v in row) for row in entries]
+        self._set(field, [tuple(v % field.q for v in row) for row in entries])
+
+    @classmethod
+    def _canonical(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> "ConstMatrix":
+        """The matrix of rows that already hold canonical residues."""
+        m = cls.__new__(cls)
+        m._set(field, [tuple(row) for row in rows])
+        return m
+
+    def _set(self, field: PrimeField, rows: list[tuple[int, ...]]) -> None:
         if not rows or not rows[0]:
             raise ValueError("matrix must be non-empty")
         cols = len(rows[0])
@@ -33,6 +65,7 @@ class ConstMatrix:
         self.rows = len(rows)
         self.cols = cols
         self.entries = tuple(rows)
+        self._echelon_form: tuple[list, list[int]] | None = None
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -42,8 +75,8 @@ class ConstMatrix:
         return self.entries[i]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ConstMatrix":
-        return ConstMatrix(self.field,
-                           [[self.entries[i][j] for j in col_idx] for i in row_idx])
+        return ConstMatrix._canonical(
+            self.field, [[self.entries[i][j] for j in col_idx] for i in row_idx])
 
     def matmul(self, other: "ConstMatrix") -> "ConstMatrix":
         if self.cols != other.rows:
@@ -54,27 +87,16 @@ class ConstMatrix:
             row = self.entries[i]
             out.append([sum(row[k] * other.entries[k][j] for k in range(self.cols)) % q
                         for j in range(other.cols)])
-        return ConstMatrix(self.field, out)
+        return ConstMatrix._canonical(self.field, out)
 
     def _echelon(self) -> tuple[list[tuple[int, list[int]]], list[int]]:
-        """Reduce the rows in order against the earlier pivot rows; returns
-        the pivot rows as (pivot column, monic row), each zero at the pivot
-        columns before it, and the rank after each prefix of rows."""
-        q = self.field.q
-        pivots: list[tuple[int, list[int]]] = []
-        ranks: list[int] = []
-        for row in self.entries:
-            v = list(row)
-            for col, pr in pivots:
-                f = v[col]
-                if f:
-                    v = [(x - f * y) % q for x, y in zip(v, pr)]
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is not None:
-                inv = pow(v[lead], -1, q)
-                pivots.append((lead, [x * inv % q for x in v]))
-            ranks.append(len(pivots))
-        return pivots, ranks
+        """The rows reduced in order (see _eliminate): the pivot rows and the
+        rank after each prefix of rows.  Built once and shared by every
+        caller, so callers must not change it."""
+        if self._echelon_form is None:
+            pivots: list[tuple[int, list[int]]] = []
+            self._echelon_form = pivots, _eliminate(self.entries, pivots, self.field.q)
+        return self._echelon_form
 
     def rank(self) -> int:
         return self._echelon()[1][-1]
@@ -83,12 +105,22 @@ class ConstMatrix:
         """Entry k is the rank of the first k + 1 rows."""
         return tuple(self._echelon()[1])
 
+    def quotient_rank(self, rows: Sequence[Sequence[int]]) -> int:
+        """Rank of the rows, vectors of canonical residues, modulo the row
+        space of this matrix: rank [rows; self] - rank self.  Only the new
+        rows are reduced, against the kept pivot rows."""
+        base = self._echelon()[0]
+        pivots = list(base)
+        _eliminate(rows, pivots, self.field.q)
+        return len(pivots) - len(base)
+
     def nullspace_basis(self) -> list[tuple[int, ...]]:
         """Basis of {v : A v = 0} as row vectors: one per free column, with
         1 there and 0 at the other free columns."""
         q = self.field.q
-        pivots = self._echelon()[0]
-        # back-substitute, so each pivot row is zero at every other pivot column
+        # back-substitute on copies, so each pivot row is zero at every
+        # other pivot column and the kept reduction stays as it was
+        pivots = [(col, list(pr)) for col, pr in self._echelon()[0]]
         for k in range(len(pivots) - 1, 0, -1):
             col, pr = pivots[k]
             for _, pj in pivots[:k]:
@@ -182,9 +214,10 @@ def jacobian(F: Sequence[Polynomial]) -> PolyMatrix:
 
 
 def jacobian_at(F: Sequence[Polynomial], x: Point | Sequence[int]) -> ConstMatrix:
-    """jacobian(F) evaluated at x, from the gradient plans cached on each F_k
-    without building the partials."""
-    return ConstMatrix(system_ring(F)[0], point_values(F, x, value=False, gradient=True))
+    """jacobian(F) evaluated at x by the gradient kernels of the F_k (see
+    point_values), without building the partials."""
+    return ConstMatrix._canonical(system_ring(F)[0],
+                                  point_values(F, x, value=False, gradient=True))
 
 
 MAX_DET_SIZE = 12

@@ -307,7 +307,12 @@ def thom_boardman_class(F: Sequence[Polynomial], a: ConstMatrix, x) -> int:
     """Kernel dimension j of the projection differential at a regular point:
     j = n - rank of the evaluated stack [J(F)(x); a], whose first p rows
     have rank p exactly when x is regular.  Raises PointClassificationError
-    when x is off V(F) or singular on it."""
+    when x is off V(F) or singular on it.
+
+    The row reduction of a is kept on a, so only the p gradient rows are
+    reduced, against it: rank [J(x); a] = rank a + r with r the rank of
+    J(x) modulo the row space of a.  As r <= rank J(x) <= p, J(x) is ranked
+    on its own only when r < p."""
     if not F:
         raise PolarSpecError("empty system")
     field, n = system_ring(F)
@@ -318,11 +323,11 @@ def thom_boardman_class(F: Sequence[Polynomial], a: ConstMatrix, x) -> int:
     rows = point_values(F, x, gradient=True)
     if any(row[0] for row in rows):
         raise PointClassificationError("point does not lie on the variety")
-    stacked = ConstMatrix(field, [row[1:] for row in rows] + list(a.entries))
-    ranks = stacked.row_ranks()
-    if ranks[len(F) - 1] != len(F):
+    grads = [row[1:] for row in rows]
+    r = a.quotient_rank(grads)
+    if r < len(F) and ConstMatrix(field, grads).rank() != len(F):
         raise PointClassificationError("point is singular on the variety")
-    return n - ranks[-1]
+    return n - a.rank() - r
 
 
 def incidence_fiber_dim(F: Sequence[Polynomial], a: ConstMatrix, x, i: int) -> int:

@@ -10,6 +10,7 @@ tuple to a nonzero canonical residue; the zero polynomial has no terms.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 from typing import Iterator, Sequence
 
@@ -56,7 +57,7 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 class Polynomial:
     """Immutable sparse polynomial over a PrimeField in n variables."""
 
-    __slots__ = ("field", "n", "terms", "_lead", "_plan")
+    __slots__ = ("field", "n", "terms", "_lead", "_kernels")
 
     def __init__(self, field: PrimeField, n: int, terms: dict[Monomial, int] | None = None,
                  _clean: bool = False):
@@ -78,7 +79,7 @@ class Polynomial:
             terms = cleaned
         self.terms = terms
         self._lead: Monomial | None = None
-        self._plan: list | None = None
+        self._kernels: list | None = None  # see _point_kernel
 
     # ---------------------------------------------------------------- builders
 
@@ -297,59 +298,97 @@ def differentiate(f: Polynomial, j: int) -> Polynomial:
     return Polynomial(f.field, f.n, acc, _clean=True)
 
 
-def _point_plan(f: Polynomial, gradient: bool) -> list:
-    """f's point plan, built on first use and kept on f, which is immutable:
-    [terms, tops, gradients].  terms holds (c, [(j, e), ...]) over the
-    nonzero exponents of each term, tops the largest exponent of each
-    variable, and gradients, built only once asked for, the terms of each
-    partial df/dx_(j+1) in the same form: c * x_j^e gives c * e * x_j^(e-1)."""
-    plan = f._plan
-    if plan is None:
-        terms = [(c, [(j, e) for j, e in enumerate(m) if e]) for m, c in f.terms.items()]
-        plan = f._plan = [terms, [max(col) for col in zip(*f.terms)] or [0] * f.n, None]
-    if gradient and plan[2] is None:
-        q = f.field.q
-        grads: list[list] = [[] for _ in range(f.n)]
-        for c, support in plan[0]:
-            for j, e in support:
-                if c * e % q:
-                    rest = [(k, ek - (k == j)) for k, ek in support if k != j or ek > 1]
-                    grads[j].append((c * e % q, rest))
-        plan[2] = grads
-    return plan
+# point kernels kept, the least recently used dropped past the bound
+KERNEL_MEMO_SIZE = 1024
+
+_SUM_CHUNK = 256  # terms per `+` chain: compile recurses once per operator
+
+
+def _power(j: int, e: int) -> str:
+    return f"x{j}" if e == 1 else f"x{j}_{e}"
+
+
+def _sum_lines(name: str, products: list[str]) -> list[str]:
+    """Lines that set `name` to the sum of the products, reduced mod q."""
+    if not products:
+        return [f"    {name} = 0"]
+    chunks = [" + ".join(products[k:k + _SUM_CHUNK])
+              for k in range(0, len(products), _SUM_CHUNK)]
+    lines = [f"    {name} = {chunks[0]}"] + [f"    {name} += {c}" for c in chunks[1:]]
+    return lines + [f"    {name} %= q"]
+
+
+@lru_cache(maxsize=KERNEL_MEMO_SIZE)
+def _kernel(n: int, support: tuple[Monomial, ...], gradient: bool):
+    """kernel(c, x, q) -> [f(x)] or, with gradient, [f(x), df/dx1, ...,
+    df/dxn], as canonical residues, for the f in n variables whose term
+    at support[t] has coefficient c[t] and a point x of canonical residues.
+
+    The body is straight-line code over the unpacked coefficients and
+    coordinates: each power of a coordinate that a product reads is built
+    once, mod q, and each value is one sum of products with one % q.  The
+    source holds only integer literals and names made from them."""
+    body = []
+    if support:
+        body.append(f"    {', '.join(f'c{t}' for t in range(len(support)))}, = c")
+    if n:
+        body.append(f"    {', '.join(f'x{j}' for j in range(n))}, = x")
+    values: list[list[str]] = [[] for _ in range(n + 1 if gradient else 1)]
+    needed: set[tuple[int, int]] = set()
+    for t, m in enumerate(support):
+        occurs = [(j, e) for j, e in enumerate(m) if e]
+        needed.update(occurs)
+        values[0].append("*".join([f"c{t}"] + [_power(j, e) for j, e in occurs]))
+        if gradient:
+            # c * x_j^e differentiates to e * c * x_j^(e-1)
+            for j, e in occurs:
+                rest = [(k, ek - (k == j)) for k, ek in occurs if k != j or ek > 1]
+                needed.update(rest)
+                values[j + 1].append("*".join(([str(e)] if e > 1 else []) + [f"c{t}"]
+                                              + [_power(k, ek) for k, ek in rest]))
+    for j, e in sorted(needed):
+        if e > 1:
+            rhs = (f"{_power(j, e - 1)} * x{j} % q" if e == 2 or (j, e - 1) in needed
+                   else f"pow(x{j}, {e}, q)")
+            body.append(f"    {_power(j, e)} = {rhs}")
+    for k, products in enumerate(values):
+        body += _sum_lines(f"v{k}", products)
+    body.append(f"    return [{', '.join(f'v{k}' for k in range(len(values)))}]")
+    scope: dict = {}
+    exec(compile("def kernel(c, x, q):\n" + "\n".join(body), "<point kernel>", "exec"),
+         scope)
+    return scope["kernel"]
+
+
+def _point_kernel(f: Polynomial, gradient: bool):
+    """f's coefficient tuple and its kernel, the kernel shared by every
+    polynomial with f's variable count and exponent support.  The pair is
+    kept on f, which is immutable, once per gradient flag."""
+    kept = f._kernels
+    if kept is None:
+        support = tuple(sorted(f.terms))
+        kept = f._kernels = [tuple(f.terms[m] for m in support), support, None, None]
+    kernel = kept[2 + gradient]
+    if kernel is None:
+        kernel = kept[2 + gradient] = _kernel(f.n, kept[1], gradient)
+    return kept[0], kernel
 
 
 def point_values(F: Sequence[Polynomial], x: "Point | Sequence[int]",
                  value: bool = True, gradient: bool = False) -> list[list[int]]:
     """Row k holds F_k(x) when value is set, then the gradient of F_k at x
     when gradient is set, all as canonical residues.  The polynomials share
-    one ring; each runs its cached point plan against one table of
-    coordinate powers, sized by the largest exponents, with one % q per
-    value."""
+    one ring; each runs its compiled point kernel (see _kernel)."""
     field, n = F[0].field, F[0].n
     coords = as_coordinates(field, x)
     if len(coords) != n:
         raise ValueError(f"point has {len(coords)} coordinates, ambient n={n}")
     q = field.q
-    plans = [_point_plan(f, gradient) for f in F]
-    powers = []
-    for v, top in zip(coords, map(max, zip(*(plan[1] for plan in plans)))):
-        pv = [1]
-        for _ in range(top):
-            pv.append(pv[-1] * v % q)
-        powers.append(pv)
     rows = []
-    for terms, _, grads in plans:
-        row = []
-        for part in ([terms] if value else []) + (grads if gradient else []):
-            total = 0
-            for c, support in part:
-                for j, e in support:
-                    c *= powers[j][e]
-                total += c
-            row.append(total % q)
-        rows.append(row)
-    return rows
+    for f in F:
+        c, kernel = _point_kernel(f, gradient)
+        rows.append(kernel(c, coords, q))
+    return rows if value else [row[1:] for row in rows]
 
 
 def evaluate(f: Polynomial, x: "Point | Sequence[int]") -> int:

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from polarvar.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK, _limits,
-                          build_parser, dispatch)
-from polarvar import polar
+from polarvar.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
+                          _limits, build_parser, dispatch)
+from polarvar import groebner, polar
 from polarvar.groebner import DEFAULT_LIMITS
 
 
@@ -228,6 +228,16 @@ def test_budget_exit_code(tmp_path, capsys):
     # the smoothness check of each family draw runs under the flags
     assert dispatch(["family31", "--n", "6", "--seed", "0",
                      "--max-pairs", "1", "--max-basis", "1"]) == EXIT_BUDGET
+
+
+def test_internal_error_exit_code(circle_file, capsys, monkeypatch):
+    # a staircase dimension that disagrees with the Hilbert series is a
+    # defect of the package: one error line and exit 4, not a traceback
+    monkeypatch.setattr(groebner, "dimension", lambda G: G.n)
+    assert dispatch(["deg", "--system", circle_file]) == EXIT_INTERNAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "staircase dimension mismatch" in err[0]
 
 
 @pytest.mark.parametrize("flag, value", [("--max-pairs", "-1"),

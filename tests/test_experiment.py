@@ -186,8 +186,9 @@ def brute_force_points(F):
 
 def oracle_systems():
     """Random systems over F_5 and F_7 for n = 1..4 and p = 1..3, each
-    shifted to vanish at a random point; then a cubic, a constant and the
-    zero polynomial."""
+    shifted to vanish at a random point; then a cubic, a constant, the
+    zero polynomial, and systems in which x_n is missing from one or every
+    polynomial."""
     rng = random.Random(2024)
     for q in (5, 7):
         field = PrimeField(q)
@@ -207,6 +208,12 @@ def oracle_systems():
         yield [parse_polynomial("x1^2 + x2^2 - x3", 3, field),
                Polynomial.zero(field, 3)]
         yield [Polynomial.zero(field, 2)]
+        yield [parse_polynomial("x1^2 + x2^2 - 1", 3, field)]
+        yield [parse_polynomial("x1*x2 - 1", 3, field),
+               parse_polynomial("x2 + x3^2 - 2", 3, field)]
+        yield [parse_polynomial("x1 - x3^3", 4, field),
+               parse_polynomial("x2 - x4", 4, field),
+               parse_polynomial("x1^2 - 1", 4, field)]
 
 
 def test_point_scan_matches_brute_force():
@@ -216,7 +223,7 @@ def test_point_scan_matches_brute_force():
         got = [(pt.coordinates, regular) for pt, regular in out.points]
         assert got == brute_force_points(F), [str(f) for f in F]
         cases += 1
-    assert cases == 2 * (4 * 3 * 2 + 4)
+    assert cases == 2 * (4 * 3 * 2 + 7)
 
 
 def test_point_scan_rejects_bad_systems(F7, K):

@@ -11,6 +11,7 @@ from polarvar.families import (FamilyDrawError, build_family_31, corner_minor,
                                parameter_count, polar_spec_31,
                                transform_matrix_symbolic,
                                unitriangular_inverse, verify_singular_witness)
+from polarvar.groebner import InternalError
 from polarvar.matrices import ConstMatrix, PolyMatrix
 from polarvar.parsing import parse_polynomial
 from polarvar.polar import PolarSpecError, polar_ideal, polar_stack
@@ -157,6 +158,15 @@ def test_unitriangular_inverse_is_an_inverse_property(F7):
                 assert entry == Polynomial.constant(F7, M.n, int(i == j))
 
     check()
+
+
+def test_transform_slice_identity_failure_is_an_internal_error(K, monkeypatch):
+    # an inverse that is not one breaks B_i(z) A(z) = [O | I]
+    monkeypatch.setattr(families, "unitriangular_inverse", lambda M: M)
+    rng = random.Random(7)
+    z = [rng.randrange(1, K.q) for _ in range(parameter_count(5, 2))]
+    with pytest.raises(InternalError, match="slice identity"):
+        example1_transform(5, 2, 1, z, K)
 
 
 def test_transform_parameter_count_checked(K):

@@ -1,7 +1,7 @@
 """Polynomial matrices: Jacobians, determinants, minors, numeric rank."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -311,6 +311,46 @@ def test_nullspace_basis_is_the_canonical_basis_property():
             assert all(sum(x * y for x, y in zip(r, v)) % q == 0
                        for r in M.entries)
             assert [v[g] for g in free] == [int(g == f) for g in free]
+
+    check()
+
+
+def test_kept_reduction_gives_the_same_answers_in_every_call_order():
+    # nullspace_basis back-substitutes the pivot rows, which rank and
+    # row_ranks share with it; each order runs on a fresh matrix, twice,
+    # and leaves the kept reduction as a fresh matrix builds it
+    rng = random.Random(23)
+    F5 = PrimeField(5)
+    queries = {"rank": ConstMatrix.rank, "row_ranks": ConstMatrix.row_ranks,
+               "nullspace_basis": ConstMatrix.nullspace_basis}
+    for _ in range(30):
+        rows = [[rng.randrange(5) for _ in range(5)] for _ in range(3)]
+        rows += [[(x + 2 * y) % 5 for x, y in zip(rows[0], rows[2])],
+                 [0] * 5, rows[1]]
+        rng.shuffle(rows)
+        want = {name: query(ConstMatrix(F5, rows)) for name, query in queries.items()}
+        for order in permutations(queries):
+            M = ConstMatrix(F5, rows)
+            for name in order + order:
+                assert queries[name](M) == want[name], order
+            assert M._echelon() == ConstMatrix(F5, rows)._echelon()
+
+
+def test_quotient_rank_is_the_rank_gain_of_the_stack_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(small_field_matrices(), st.integers(0, 5))
+    def check(M, k):
+        # M = [top; bottom] with a non-empty bottom, so rank M = rank bottom
+        # + the rank of top modulo the row space of bottom
+        k = min(k, M.rows - 1)
+        top, bottom = M.entries[:k], M.submatrix(range(k, M.rows), range(M.cols))
+        before = bottom.row_ranks(), bottom.nullspace_basis()
+        assert bottom.quotient_rank(top) == M.rank() - bottom.rank()
+        assert (bottom.row_ranks(), bottom.nullspace_basis()) == before
 
     check()
 

@@ -392,6 +392,77 @@ def test_thom_boardman_class_against_the_evaluated_stack():
                     thom_boardman_class(F, a_i, x)
 
 
+def full_stack_class(F, a, x):
+    """n - rank [J(F)(x); a] from the row ranks of the whole evaluated
+    stack, or None when x is singular on V(F)."""
+    p, n = len(F), a.cols
+    rows = evaluate_matrix(jacobian(F), x).entries + a.entries
+    ranks = ConstMatrix(a.field, rows).row_ranks()
+    return n - ranks[-1] if ranks[p - 1] == p else None
+
+
+def f7_points(n, p, seed):
+    """A random dense system over F_7 and every point of its zero set."""
+    F7 = PrimeField(7)
+    rng = random.Random(seed)
+    F = [random_dense_poly(rng, F7, n) for _ in range(p)]
+    return F, [x for x in product(range(7), repeat=n)
+               if not any(naive_evaluate(f, x) for f in F)]
+
+
+def test_thom_boardman_class_with_rank_deficient_matrices():
+    # shapes PolarSpec admits with strict=False: a zero row, a repeated
+    # row, a row in the span of the others, all rows zero
+    F7 = PrimeField(7)
+    for n, p in [(3, 1), (4, 1), (4, 2)]:
+        F, points = f7_points(n, p, derive_seed(11, n, p))
+        rng = random.Random(derive_seed(12, n, p))
+        r1, r2 = ([rng.randrange(7) for _ in range(n)] for _ in range(2))
+        r3 = [(x + 3 * y) % 7 for x, y in zip(r1, r2)]
+        singular = 0
+        for i in range(1, n - p + 1):
+            k = n - p - i + 1
+            candidates = ([[0] * n] + [r1, r2][:k - 1], [[0] * n] * k, [r1] * k,
+                          [r1, r2, r3][:k], [r3, r2, r1, r1][:k])
+            deficient = [ConstMatrix(F7, rows) for rows in candidates]
+            deficient = [a for a in deficient if a.rank() < k]
+            assert len(deficient) >= 2
+            for a in deficient:
+                PolarSpec.classic(n, p, i, F, a, strict=False)
+                for x in points:
+                    want = full_stack_class(F, a, x)
+                    if want is None:
+                        singular += 1
+                        with pytest.raises(PointClassificationError, match="singular"):
+                            thom_boardman_class(F, a, x)
+                    else:
+                        assert thom_boardman_class(F, a, x) == want
+        assert len(points) > singular
+
+
+def test_thom_boardman_class_reuses_matrices_across_interleaved_calls():
+    # each matrix keeps its own row reduction: a, another matrix b, and a
+    # twin of a (equal entries, a distinct object), queried in turn
+    F7 = PrimeField(7)
+    n, p = 4, 2
+    F, points = f7_points(n, p, derive_seed(13, n, p))
+    rng = random.Random(14)
+    a = random_full_rank_matrix(rng, F7, n - p, n)
+    b = random_full_rank_matrix(rng, F7, n - p, n)
+    twin = ConstMatrix(F7, a.entries)
+    top = a.submatrix([0], range(n))
+    assert twin == a and twin is not a and b != a
+    seen = 0
+    for x in points:
+        for m in (a, b, twin, top, a, b):
+            want = full_stack_class(F, m, x)
+            if want is None:
+                continue
+            assert thom_boardman_class(F, m, x) == want
+            seen += 1
+    assert seen and a.row_ranks() == twin.row_ranks() == (1, 2)
+
+
 def test_thom_boardman_rejects_points_off_the_variety(K):
     # the gradient vanishes at the origin, but the value test comes first
     f = P("x1^2+x2^2+1", 2, K)

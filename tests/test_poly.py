@@ -1,14 +1,16 @@
 """Sparse polynomial arithmetic, the degrevlex order, and calculus ops."""
 
 import random
+from itertools import product
 
 import pytest
 
 from polarvar.field import PrimeField
 from polarvar.matrices import jacobian, jacobian_at
 from polarvar.parsing import parse_polynomial
-from polarvar.poly import (Point, Polynomial, add_multiple, differentiate, drl_key,
-                           evaluate)
+from polarvar.poly import (KERNEL_MEMO_SIZE, Point, Polynomial, _kernel, _point_kernel,
+                           add_multiple, differentiate, drl_key, evaluate,
+                           point_values)
 
 from conftest import evaluate_matrix, monomial_mul, naive_evaluate, random_poly
 
@@ -195,10 +197,26 @@ def test_extend_preserves_values(K):
     assert evaluate(g, [2, 5, 9, 9]) == evaluate(f, [2, 5])
 
 
+def naive_gradient(f: Polynomial, coords) -> list[int]:
+    """The partials of f at coords, term by term: c * x^m contributes
+    c * e * x^(m - e_j) to the j-th partial."""
+    q = f.field.q
+    grad = [0] * f.n
+    for m, c in f.terms.items():
+        for j, e in enumerate(m):
+            if e:
+                v = c * e
+                for k, (x, ek) in enumerate(zip(coords, m)):
+                    v = v * pow(x, ek - (k == j), q) % q
+                grad[j] = (grad[j] + v) % q
+    return grad
+
+
 @pytest.mark.parametrize("q", [7, PrimeField().q])
-def test_cached_point_plans_against_the_naive_oracle_property(q):
+def test_point_values_against_the_term_by_term_oracle_property(q):
     # each polynomial and system is evaluated at several points in turn, so
-    # a plan or power table carried over from an earlier point shows
+    # a kernel or coefficient tuple carried over from an earlier point or
+    # another polynomial of the same support shows
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     field = PrimeField(q)
@@ -214,6 +232,7 @@ def test_cached_point_plans_against_the_naive_oracle_property(q):
         F = [Polynomial(field, n, dict(draw(st.lists(term, max_size=6))))
              for _ in range(draw(st.integers(1, 3)))]
         F += [Polynomial.zero(field, n), Polynomial.constant(field, n, draw(residue))]
+        F.append(F[0].scale(draw(residue)))  # F[0]'s support, other values
         points = draw(st.lists(st.tuples(*[residue] * n), min_size=2, max_size=6))
         return F, points
 
@@ -223,25 +242,57 @@ def test_cached_point_plans_against_the_naive_oracle_property(q):
     def check(case):
         F, points = case
         for x in points:
-            for f in F:
-                assert evaluate(f, x) == naive_evaluate(f, x)
+            values = [[naive_evaluate(f, x)] for f in F]
+            grads = [naive_gradient(f, x) for f in F]
+            for value, gradient in product((True, False), repeat=2):
+                want = [(v if value else []) + (g if gradient else [])
+                        for v, g in zip(values, grads)]
+                assert point_values(F, x, value, gradient) == want
+            for f, v in zip(F, values):
+                assert evaluate(f, x) == v[0]
             assert jacobian_at(F, x) == evaluate_matrix(jacobian(F), x)
 
     check()
 
 
-def test_point_plans_stay_with_their_polynomial(K):
+@pytest.mark.parametrize("q", [7, PrimeField().q])
+def test_point_values_of_a_polynomial_with_thousands_of_terms(q):
+    # 6561 terms: a single `+` chain that long overflows the compiler's
+    # recursion, so the kernel must sum in chunks
+    field = PrimeField(q)
+    rng = random.Random(q)
+    f = Polynomial(field, 4, {m: rng.randrange(1, q)
+                              for m in product(range(9), repeat=4)})
+    assert len(f.terms) == 6561
+    for x in ([0, 0, 0, 0], [1, q - 1, 2, 3], [rng.randrange(q) for _ in range(4)]):
+        want = [naive_evaluate(f, x)] + naive_gradient(f, x)
+        assert point_values([f], x, gradient=True) == [want]
+        assert evaluate(f, x) == want[0]
+
+
+def test_point_kernels_stay_with_their_polynomial(K):
     rng = random.Random(13)
     for _ in range(20):
         f = random_poly(rng, K, 3, max_degree=4, terms=6)
         g = random_poly(rng, K, 3, max_degree=4, terms=6)
         twin = Polynomial(K, 3, dict(f.terms))
         x = [rng.randrange(K.q) for _ in range(3)]
-        for h in (f, g):  # plans for the value and for the gradients
+        for h in (f, g):  # kernels for the value and for the gradients
             evaluate(h, x)
             jacobian_at([h], x)
         assert f == twin and hash(f) == hash(twin) and len({f, twin}) == 1
-        for h in (f + g, f - g, f * g, f.monic(), f.extend(4)):
+        for h in (f + g, f - g, f * g, f.monic(), f.extend(4), f.scale(3)):
             y = [rng.randrange(K.q) for _ in range(h.n)]
             assert evaluate(h, y) == naive_evaluate(h, y)
             assert jacobian_at([h], y) == evaluate_matrix(jacobian([h]), y)
+
+
+def test_point_kernels_are_shared_by_support_in_a_bounded_memo(K):
+    f = P("3*x1^2*x2 + x2 - 5", 2, K)
+    g = P("x2 + 7*x1^2*x2 + 2", 2, K)  # f's support, written in another order
+    h = P("x1^2*x2 + x1 - 5", 2, K)
+    assert _point_kernel(f, True)[1] is _point_kernel(g, True)[1]
+    assert _point_kernel(f, True)[1] is not _point_kernel(h, True)[1]
+    assert _point_kernel(f, False)[1] is not _point_kernel(f, True)[1]
+    assert [evaluate(f, [2, 3]), evaluate(g, [2, 3])] == [(36 + 3 - 5) % K.q, 89]
+    assert _kernel.cache_info().maxsize == KERNEL_MEMO_SIZE
