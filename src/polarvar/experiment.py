@@ -9,11 +9,13 @@ rows of the matrix to the polar ideal and measures the dimension of its
 singular locus exactly in full mode (radical test at dimension zero,
 Jacobian criterion above) and by the degeneracy proxy in delta mode.
 
-The observed value is compared against max{-1, n - p - (2i+2)} for p > 1;
-hypersurface cells (p = 1) are expected to have empty singular locus and
-empty degeneracy locus.  That holds for the classic flavor, since its
-constant rows alone already carry full rank; dual bottom rows are not
-constant, so for dual cells the same value is an expectation, not a fact.
+The observed value is compared against max{-1, n - p - (2i+2)}.  W is
+where a matrix M over S drops rank (classic: J(F)*N, p x (p+i-1); dual:
+(p+1) x (p+i), one more row from a_r - c_r*X; see polar._stack_minors), and
+it is singular where M drops rank once more, in codimension 2(i+1) of S.
+Classic hypersurface cells (p = 1) are the exception: their M is 1 x i, and
+a rank below 0 is impossible, so their singular locus and degeneracy locus
+are empty.  Dual cells follow the formula at p = 1 too.
 
 All randomness flows from one 64-bit master seed through a splitmix64-style
 derivation keyed by (n, p, seed index, attempt); runs with equal flags and
@@ -32,7 +34,7 @@ from typing import Sequence
 from .field import DEFAULT_PRIME, PrimeField
 from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
 from .matrices import ConstMatrix, jacobian_at, system_ring
-from .poly import Point, Polynomial
+from .poly import Point, Polynomial, point_values
 from .polar import (CLASSIC, DUAL, PolarSpec, SmoothnessReport, delta_ideal,
                     polar_ideal, singular_locus_dim,
                     verify_smooth_complete_intersection)
@@ -47,6 +49,7 @@ _SYSTEM_ATTEMPTS = 20  # draws random_smooth_system tries
 _DRAW_CACHE_SIZE = 64  # memoised draws; a grid needs REDRAW_BUDGET + 1 at once
 ENUMERATION_LIMIT = 10**7  # largest q^n sample_points_small_field scans
 DENSE_DEGREE = 2  # total degree of the random_dense_poly draws: quadrics
+FULL_RANK_DRAWS = 64  # draws random_full_rank_matrix tries
 
 
 def derive_seed(*parts: int) -> int:
@@ -61,12 +64,11 @@ def derive_seed(*parts: int) -> int:
     return acc
 
 
-def expected_singular_dim(n: int, p: int, i: int) -> int:
-    """The experiment's target value: hypersurface polar varieties are
-    smooth, otherwise max{-1, n - p - (2i+2)}.  The p = 1 rule holds for
-    the classic flavor, whose constant rows carry full rank; dual cells
-    get the same value, though their bottom rows are not constant."""
-    if p == 1:
+def expected_singular_dim(n: int, p: int, i: int, flavor: str) -> int:
+    """The experiment's target value, max{-1, n - p - (2i+2)}, except that
+    classic hypersurface polar varieties are smooth (see the module
+    docstring); dual ones follow the formula at p = 1 as well."""
+    if p == 1 and flavor == CLASSIC:
         return -1
     return max(-1, n - p - (2 * i + 2))
 
@@ -85,14 +87,16 @@ def random_dense_poly(rng: random.Random, field: PrimeField, n: int) -> Polynomi
 
 def random_full_rank_matrix(rng: random.Random, field: PrimeField, rows: int,
                             cols: int) -> ConstMatrix:
-    """Uniform rows x cols draws until one has rank `rows`."""
+    """Uniform rows x cols draws until one has rank `rows`; past
+    FULL_RANK_DRAWS draws a BudgetExceededError."""
     if rows > cols:
         raise ValueError(f"no {rows} x {cols} matrix has rank {rows}")
-    while True:
+    for _ in range(FULL_RANK_DRAWS):
         M = ConstMatrix(field, [[rng.randrange(field.q) for _ in range(cols)]
                                 for _ in range(rows)])
         if M.rank() == rows:
             return M
+    raise BudgetExceededError("full-rank draws", FULL_RANK_DRAWS)
 
 
 @lru_cache(maxsize=_DRAW_CACHE_SIZE)
@@ -171,7 +175,7 @@ class CellResult:
 
 def run_cell(spec: CellSpec, limits: GBLimits = DEFAULT_LIMITS) -> CellResult:
     n, p, i = spec.n, spec.p, spec.i
-    expected = expected_singular_dim(n, p, i)
+    expected = expected_singular_dim(n, p, i, spec.flavor)
     start = time.monotonic()
 
     def finish(status, reg=None, smooth=None, dim_w=None, deg_w=None,
@@ -275,39 +279,18 @@ class SamplePointsResult:
     complete: bool
 
 
-def _substitution_plans(f: Polynomial
-                        ) -> tuple[list[int], list[tuple[list[tuple[int, int]], int]]]:
-    """f as a coefficient vector over its monomials, and how substituting
-    x_{k+1} = v maps its terms over x_{k+1..n} onto its terms over
-    x_{k+2..n}, for k = 0..n-1.
-
-    At level k the terms are the distinct suffixes m[k:] of f's monomials
-    in sorted order, so the constant one comes first (index 0).  Plan k pairs each level-k suffix s
-    with (exponent of x_{k+1} in s, index of s[1:] at level k + 1), and
-    comes with the size of level k + 1."""
-    levels = [sorted({m[k:] for m in f.terms} | {(0,) * (f.n - k)})
-              for k in range(f.n + 1)]
-    plans = []
-    for k in range(f.n):
-        index = {s: d for d, s in enumerate(levels[k + 1])}
-        plans.append(([(s[0], index[s[1:]]) for s in levels[k]],
-                      len(levels[k + 1])))
-    return [f.terms.get(m, 0) for m in levels[0]], plans
-
-
 def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
     """All points of V(F) over a small field, in lexicographic order, tagged
     regular/singular by the rank of jacobian_at.
 
-    The scan substitutes x1 = 0..q-1 into the term vectors of every F_k,
-    then x2, and so on up to x_(n-1), reading values from one table of
-    residue powers; a branch ends as soon as a substituted F_k is a nonzero
-    constant, so no point is evaluated from scratch.  With x_n left, each
-    F_k is a polynomial in x_n: the sweep keeps the values of x_n where
-    F_1 vanishes, then those where F_2 also vanishes, and so on, and stops
-    once none are left.  Raises ValueError when F is empty, mixes rings or
-    has no variables, and when the q^n points of the ambient space exceed
-    ENUMERATION_LIMIT."""
+    Each F_k is written once as the sum of c_{k,e}(x1..x_(n-1)) * x_n^e.
+    For every prefix (x1, ..., x_(n-1)) the sweep evaluates the c_{1,e}
+    by their point kernels (see point_values), keeps the values of x_n
+    where F_1 vanishes, read from one table of residue powers, then those
+    where F_2 also vanishes, and so on, and stops once none are left; a
+    zero F_k keeps every value.  Raises ValueError when F is empty, mixes
+    rings or has no variables, and when the q^n points of the ambient
+    space exceed ENUMERATION_LIMIT."""
     F = list(F)
     field, n = system_ring(F)
     q = field.q
@@ -316,49 +299,32 @@ def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
                          f"{ENUMERATION_LIMIT}")
     p = len(F)
     top = max(f.total_degree() for f in F)
-    powers = [[pow(v, e, q) for e in range(top + 1)] for v in range(q)]
-    columns = list(zip(*powers))  # columns[e][v] = v^e
-    vectors, plans = zip(*map(_substitution_plans, F))
-    # the exponent of x_n in each entry of F_k's term vector over x_n alone
-    last_exponents = [[e for e, _ in plan[n - 1][0]] for plan in plans]
+    columns = [[pow(v, e, q) for v in range(q)] for e in range(top + 1)]
+    coefficients = []  # per F_k: the exponents e of x_n and the c_{k,e}
+    for f in F:
+        by_exponent: dict[int, dict] = {}
+        for m, c in f.terms.items():
+            by_exponent.setdefault(m[-1], {})[m[:-1]] = c
+        exponents = sorted(by_exponent)
+        coefficients.append((exponents, [Polynomial(field, n - 1, by_exponent[e],
+                                                    _clean=True) for e in exponents]))
     found: list[tuple[Point, bool]] = []
-
-    def sweep(vectors, prefix: tuple[int, ...]) -> None:
+    for prefix in product(range(q), repeat=n - 1):
         roots = range(q)
-        for exponents, vec in zip(last_exponents, vectors):
+        for exponents, polys in coefficients:
+            if not polys:
+                continue
             values = [0] * len(roots)
-            for e, c in zip(exponents, vec):
+            for e, (c,) in zip(exponents, point_values(polys, prefix)):
                 if c:
                     col = columns[e]
                     values = [s + c * col[v] for s, v in zip(values, roots)]
             roots = [v for v, s in zip(roots, values) if not s % q]
             if not roots:
-                return
+                break
         for v in roots:
             x = prefix + (v,)
             found.append((Point(field, x), jacobian_at(F, x).rank() == p))
-
-    def scan(k: int, vectors, prefix: tuple[int, ...]) -> None:
-        if k == n - 1:
-            sweep(vectors, prefix)
-            return
-        level = [plan[k] for plan in plans]
-        for v in range(q):
-            pv = powers[v]
-            substituted = []
-            for (plan, size), vec in zip(level, vectors):
-                acc = [0] * size
-                for (e, d), c in zip(plan, vec):
-                    if c:
-                        acc[d] += c * pv[e]
-                acc = [c % q for c in acc]
-                if acc[0] and not any(acc[1:]):
-                    break  # a nonzero constant: no point below this prefix
-                substituted.append(acc)
-            else:
-                scan(k + 1, substituted, prefix + (v,))
-
-    scan(0, vectors, ())
     return SamplePointsResult(tuple(found), True, True)
 
 

@@ -407,6 +407,11 @@ def dimension(G: GroebnerBasis) -> int:
     return free  # unreachable: k = 0 always succeeds for a proper ideal
 
 
+# Hilbert numerators of monomial ideals kept, the least recently used
+# dropped past the bound
+HILBERT_MEMO_SIZE = 4096
+
+
 def hilbert_numerator(lms: Sequence[Monomial], n: int) -> list[int]:
     """Numerator coefficients of the Hilbert series of R/(lms) over (1-t)^n."""
     gens = _minimalize_monomials(lms)
@@ -442,7 +447,7 @@ def _poly_add_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=HILBERT_MEMO_SIZE)
 def _hilbert_rec(gens: tuple[Monomial, ...]) -> tuple[int, ...]:
     if not gens:
         return (1,)

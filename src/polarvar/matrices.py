@@ -46,16 +46,7 @@ class ConstMatrix:
     __slots__ = ("field", "rows", "cols", "entries", "_echelon_form")
 
     def __init__(self, field: PrimeField, entries: Sequence[Sequence[int]]):
-        self._set(field, [tuple(v % field.q for v in row) for row in entries])
-
-    @classmethod
-    def _canonical(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> "ConstMatrix":
-        """The matrix of rows that already hold canonical residues."""
-        m = cls.__new__(cls)
-        m._set(field, [tuple(row) for row in rows])
-        return m
-
-    def _set(self, field: PrimeField, rows: list[tuple[int, ...]]) -> None:
+        rows = tuple(tuple(v % field.q for v in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must be non-empty")
         cols = len(rows[0])
@@ -64,7 +55,7 @@ class ConstMatrix:
         self.field = field
         self.rows = len(rows)
         self.cols = cols
-        self.entries = tuple(rows)
+        self.entries = rows
         self._echelon_form: tuple[list, list[int]] | None = None
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -75,19 +66,18 @@ class ConstMatrix:
         return self.entries[i]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ConstMatrix":
-        return ConstMatrix._canonical(
-            self.field, [[self.entries[i][j] for j in col_idx] for i in row_idx])
+        return ConstMatrix(self.field,
+                           [[self.entries[i][j] for j in col_idx] for i in row_idx])
 
     def matmul(self, other: "ConstMatrix") -> "ConstMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        q = self.field.q
         out = []
         for i in range(self.rows):
             row = self.entries[i]
-            out.append([sum(row[k] * other.entries[k][j] for k in range(self.cols)) % q
+            out.append([sum(row[k] * other.entries[k][j] for k in range(self.cols))
                         for j in range(other.cols)])
-        return ConstMatrix._canonical(self.field, out)
+        return ConstMatrix(self.field, out)
 
     def _echelon(self) -> tuple[list[tuple[int, list[int]]], list[int]]:
         """The rows reduced in order (see _eliminate): the pivot rows and the
@@ -216,8 +206,7 @@ def jacobian(F: Sequence[Polynomial]) -> PolyMatrix:
 def jacobian_at(F: Sequence[Polynomial], x: Point | Sequence[int]) -> ConstMatrix:
     """jacobian(F) evaluated at x by the gradient kernels of the F_k (see
     point_values), without building the partials."""
-    return ConstMatrix._canonical(system_ring(F)[0],
-                                  point_values(F, x, value=False, gradient=True))
+    return ConstMatrix(system_ring(F)[0], point_values(F, x, value=False, gradient=True))
 
 
 MAX_DET_SIZE = 12

@@ -95,7 +95,7 @@ def test_criterion_01_full_singular_grid(full_grid):
             problems.append((r.n, r.p, r.i, "fell back to proxy"))
         elif r.redraws_used > 5:
             problems.append((r.n, r.p, r.i, "too many redraws"))
-        elif r.dim_sing != expected_singular_dim(r.n, r.p, r.i):
+        elif r.dim_sing != expected_singular_dim(r.n, r.p, r.i, r.flavor):
             problems.append((r.n, r.p, r.i, r.dim_sing))
     problems += degree_problems(results)
     ok = not problems and elapsed <= 1800
@@ -107,7 +107,7 @@ def test_criterion_02_delta_proxy_extension(delta_grid_n6):
     problems = [(r.n, r.p, r.i, r.status, r.dim_sing)
                 for r in delta_grid_n6
                 if r.status != "ok"
-                or r.dim_sing != expected_singular_dim(r.n, r.p, r.i)]
+                or r.dim_sing != expected_singular_dim(r.n, r.p, r.i, r.flavor)]
     problems += degree_problems(delta_grid_n6)
     ok = not problems
     report(2, ok, f"n=6, p<=3, {len(delta_grid_n6)} delta-proxy cells, deg_W "

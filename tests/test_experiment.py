@@ -8,16 +8,16 @@ from itertools import product
 import pytest
 
 from polarvar import experiment, polar
-from polarvar.experiment import (CellSpec, derive_seed,
+from polarvar.experiment import (FULL_RANK_DRAWS, CellSpec, derive_seed,
                                  expected_singular_dim, grid_triples,
                                  random_dense_poly, random_full_rank_matrix,
                                  run_cell, run_grid, sample_points_small_field,
                                  random_smooth_system, summarize_grid)
 from polarvar.field import PrimeField
-from polarvar.groebner import GBLimits
+from polarvar.groebner import BudgetExceededError, GBLimits
 from polarvar.matrices import jacobian
 from polarvar.parsing import parse_polynomial
-from polarvar.polar import SmoothnessReport
+from polarvar.polar import CLASSIC, DUAL, SmoothnessReport
 from polarvar.poly import Polynomial, evaluate
 
 from conftest import evaluate_matrix, naive_evaluate, random_poly
@@ -32,15 +32,21 @@ def test_derive_seed_is_deterministic_and_spread():
 
 
 def test_expected_singular_dimension_table():
-    # hypersurfaces are always smooth, whatever the formula would say
-    assert expected_singular_dim(5, 1, 1) == -1
-    assert expected_singular_dim(6, 1, 1) == -1
+    # classic hypersurfaces are always smooth, whatever the formula would say
+    assert expected_singular_dim(5, 1, 1, CLASSIC) == -1
+    assert expected_singular_dim(6, 1, 1, CLASSIC) == -1
     # p > 1 follows max{-1, n - p - (2i+2)}
-    assert expected_singular_dim(5, 2, 1) == -1
-    assert expected_singular_dim(6, 2, 1) == 0
-    assert expected_singular_dim(7, 2, 1) == 1
-    assert expected_singular_dim(6, 2, 2) == -1
-    assert expected_singular_dim(4, 1, 1) == -1
+    assert expected_singular_dim(5, 2, 1, CLASSIC) == -1
+    assert expected_singular_dim(6, 2, 1, CLASSIC) == 0
+    assert expected_singular_dim(7, 2, 1, CLASSIC) == 1
+    assert expected_singular_dim(6, 2, 2, CLASSIC) == -1
+    assert expected_singular_dim(4, 1, 1, CLASSIC) == -1
+    # the dual flavor follows the formula at every p, p = 1 included
+    assert expected_singular_dim(4, 1, 1, DUAL) == -1
+    assert expected_singular_dim(5, 1, 1, DUAL) == 0
+    assert expected_singular_dim(6, 1, 1, DUAL) == 1
+    assert expected_singular_dim(6, 2, 1, DUAL) == 0
+    assert expected_singular_dim(6, 2, 2, DUAL) == -1
 
 
 def test_random_dense_poly_is_a_quadric(K):
@@ -67,6 +73,35 @@ def test_random_full_rank_matrix(K):
     # rank can never reach the row count: refused before any draw
     with pytest.raises(ValueError):
         random_full_rank_matrix(random.Random(0), PrimeField(7), 3, 2)
+
+
+class _Zeros:
+    """An rng whose every draw is 0."""
+
+    draws = 0
+
+    def randrange(self, q):
+        self.draws += 1
+        return 0
+
+
+def test_random_full_rank_matrix_is_bounded():
+    rng = _Zeros()
+    with pytest.raises(BudgetExceededError) as err:
+        random_full_rank_matrix(rng, PrimeField(7), 2, 3)
+    assert (err.value.kind, err.value.limit) == ("full-rank draws",
+                                                FULL_RANK_DRAWS)
+    assert rng.draws == FULL_RANK_DRAWS * 2 * 3
+
+
+def test_exhausted_full_rank_draws_skip_the_cell(monkeypatch):
+    monkeypatch.setattr(experiment, "FULL_RANK_DRAWS", 0)
+    experiment._smooth_draw.cache_clear()
+    try:
+        r = run_cell(CellSpec(3, 1, 1, seed=derive_seed(5, 3, 1, 0)))
+    finally:
+        experiment._smooth_draw.cache_clear()
+    assert (r.status, r.redraws_used, r.match) == ("skipped", 0, None)
 
 
 def test_cell_spec_validation():
@@ -224,6 +259,46 @@ def test_point_scan_matches_brute_force():
         assert got == brute_force_points(F), [str(f) for f in F]
         cases += 1
     assert cases == 2 * (4 * 3 * 2 + 7)
+
+
+def dense_systems():
+    """Dense quadrics over F_5 and F_7, every monomial of degree <= 2 drawn
+    as random_dense_poly draws it, for n = 2..4 and p = 1..3, each shifted
+    to vanish at a random point."""
+    rng = random.Random(26)
+    for q in (5, 7):
+        field = PrimeField(q)
+        for n in range(2, 5):
+            for p in range(1, 4):
+                x0 = [rng.randrange(q) for _ in range(n)]
+                F = []
+                for _ in range(p):
+                    f = random_dense_poly(rng, field, n)
+                    F.append(f - Polynomial.constant(field, n,
+                                                     naive_evaluate(f, x0)))
+                yield F
+
+
+def test_point_scan_matches_brute_force_on_dense_quadrics():
+    cases = 0
+    for F in dense_systems():
+        out = sample_points_small_field(F)
+        got = [(pt.coordinates, regular) for pt, regular in out.points]
+        assert got == brute_force_points(F), [str(f) for f in F]
+        assert out.exhaustive and out.complete
+        cases += 1
+    assert cases == 2 * 3 * 3
+
+
+def test_point_scan_with_a_constant_in_x_n(F7):
+    # x1 - 2 is a nonzero constant in x3 on every prefix with x1 != 2, so
+    # the sweep rejects every root there; the quadric decides the rest
+    F = [parse_polynomial("x1 - 2", 3, F7),
+         parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3, F7)]
+    got = [(pt.coordinates, regular)
+           for pt, regular in sample_points_small_field(F).points]
+    assert got == brute_force_points(F)
+    assert got and all(x[0] == 2 for x, _ in got)
 
 
 def test_point_scan_rejects_bad_systems(F7, K):

@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from polarvar.groebner import (BudgetExceededError, GBLimits, GroebnerBasis,
-                               IdealPresentation, _is_squarefree, _Packing,
+from polarvar.groebner import (HILBERT_MEMO_SIZE, BudgetExceededError, GBLimits,
+                               GroebnerBasis, IdealPresentation, _hilbert_rec,
+                               _is_squarefree, _Packing,
                                degree, dimension, hilbert_numerator,
                                localize_rabinowitsch,
                                normal_form, reduced_groebner_basis,
@@ -363,6 +364,8 @@ def test_hilbert_numerator_simple_cases(K):
     assert hilbert_numerator([(2, 0, 0)], 3) == [1, 0, -1]
     assert hilbert_numerator([], 3) == [1]
     assert hilbert_numerator([(0, 0, 0)], 3) == [0]
+    # the numerators of the recursion sit in a bounded memo
+    assert _hilbert_rec.cache_info().maxsize == HILBERT_MEMO_SIZE
 
 
 def test_localize_rabinowitsch_examples(K):
