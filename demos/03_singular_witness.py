@@ -20,7 +20,7 @@ from polarvar.families import (build_family_31, polar_spec_31,
 K = PrimeField()
 inst = build_family_31(6, seed=2024, field=K)
 
-print(f"n = {inst.n}, witness point xi = {inst.xi.coordinates}")
+print(f"n = {inst.n}, witness point xi = {inst.xi}")
 print(f"F1 = {inst.F1}")
 print(f"F2 = {inst.F2}")
 

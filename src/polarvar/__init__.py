@@ -8,7 +8,7 @@ families.
 """
 
 from .field import DEFAULT_PRIME, PrimeField, is_prime
-from .poly import Point, Polynomial, differentiate, evaluate
+from .poly import Polynomial, differentiate, evaluate
 from .parsing import ParseError, parse_polynomial, parse_system
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
                        enumerate_minors, jacobian, jacobian_at)

@@ -27,7 +27,7 @@ from .parsing import ParseError, parse_system
 from .polar import (CLASSIC, DUAL, PolarSpec, PolarSpecError,
                     PointClassificationError, delta_ideal, incidence_fiber_dim,
                     polar_ideal, singular_locus_dim, thom_boardman_class)
-from .poly import Point, Polynomial
+from .poly import Polynomial
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -97,7 +97,7 @@ def _load_matrix(path: str, field: PrimeField) -> tuple[ConstMatrix, list[int] |
     return ConstMatrix(field, rows), col0
 
 
-def _parse_point(text: str, field: PrimeField, n: int) -> Point:
+def _parse_point(text: str, field: PrimeField, n: int) -> tuple[int, ...]:
     try:
         coords = [int(part) for part in text.split(",")]
     except ValueError:
@@ -105,7 +105,7 @@ def _parse_point(text: str, field: PrimeField, n: int) -> Point:
             from None
     if len(coords) != n:
         raise InputError(f"point has {len(coords)} coordinates, system needs {n}")
-    return Point(field, coords)
+    return tuple(v % field.q for v in coords)
 
 
 def _polar_spec(args, field: PrimeField, F: list[Polynomial], n: int) -> PolarSpec:
@@ -207,9 +207,9 @@ def cmd_singular(args) -> int:
 def cmd_tb(args) -> int:
     field = _field(args)
     F, n = _load_system(args.system, field)
-    a_star, _ = _load_matrix(args.matrix, field)
+    a, _ = _load_matrix(args.matrix, field)
     x = _parse_point(args.point, field, n)
-    j = thom_boardman_class(F, a_star, x)
+    j = thom_boardman_class(F, a, x)
     _emit(args, str(j), {"class": j})
     return EXIT_OK
 
@@ -217,9 +217,9 @@ def cmd_tb(args) -> int:
 def cmd_fiber(args) -> int:
     field = _field(args)
     F, n = _load_system(args.system, field)
-    a_star, _ = _load_matrix(args.matrix, field)
+    a, _ = _load_matrix(args.matrix, field)
     x = _parse_point(args.point, field, n)
-    d = incidence_fiber_dim(F, a_star, x, args.i)
+    d = incidence_fiber_dim(F, a, x, args.i)
     _emit(args, str(d), {"fiber_dim": d})
     return EXIT_OK
 
@@ -230,7 +230,7 @@ def cmd_family31(args) -> int:
     report = verify_singular_witness(inst)
     payload = {
         "n": inst.n, "seed": args.seed,
-        "xi": list(inst.xi.coordinates),
+        "xi": list(inst.xi),
         "c1": inst.c1, "c2": inst.c2,
         "det_vanishes_at_xi": report.det_vanishes_at_xi,
         "gradient_vanishes_at_xi": report.gradient_vanishes_at_xi,

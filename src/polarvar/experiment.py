@@ -34,7 +34,7 @@ from typing import Sequence
 from .field import DEFAULT_PRIME, PrimeField
 from .groebner import DEFAULT_LIMITS, BudgetExceededError, GBLimits
 from .matrices import ConstMatrix, jacobian_at, system_ring
-from .poly import Point, Polynomial, point_values
+from .poly import Polynomial, point_values
 from .polar import (CLASSIC, DUAL, PolarSpec, SmoothnessReport, delta_ideal,
                     polar_ideal, singular_locus_dim,
                     verify_smooth_complete_intersection)
@@ -274,7 +274,7 @@ def summarize_grid(results: Sequence[CellResult]) -> str:
 
 @dataclass
 class SamplePointsResult:
-    points: tuple[tuple[Point, bool], ...]  # (point, is_regular)
+    points: tuple[tuple[tuple[int, ...], bool], ...]  # (point, is_regular)
     exhaustive: bool
     complete: bool
 
@@ -308,7 +308,7 @@ def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
         exponents = sorted(by_exponent)
         coefficients.append((exponents, [Polynomial(field, n - 1, by_exponent[e],
                                                     _clean=True) for e in exponents]))
-    found: list[tuple[Point, bool]] = []
+    found: list[tuple[tuple[int, ...], bool]] = []
     for prefix in product(range(q), repeat=n - 1):
         roots = range(q)
         for exponents, polys in coefficients:
@@ -324,7 +324,7 @@ def sample_points_small_field(F: Sequence[Polynomial]) -> SamplePointsResult:
                 break
         for v in roots:
             x = prefix + (v,)
-            found.append((Point(field, x), jacobian_at(F, x).rank() == p))
+            found.append((x, jacobian_at(F, x).rank() == p))
     return SamplePointsResult(tuple(found), True, True)
 
 

@@ -32,7 +32,7 @@ from .groebner import (DEFAULT_LIMITS, GBLimits, IdealPresentation,
 from .experiment import random_full_rank_matrix
 from .matrices import (ConstMatrix, PolyMatrix, determinant_division_free,
                        enumerate_minors, jacobian, jacobian_at, system_ring)
-from .poly import Point, Polynomial, differentiate, evaluate
+from .poly import Polynomial, differentiate, evaluate, point_values
 from .polar import (CLASSIC, PolarIdealResult, PolarSpec, PolarSpecError,
                     analyze_ideal, polar_generators, polar_ideal, polar_stack,
                     singular_locus_dim, singular_locus_generators,
@@ -62,7 +62,7 @@ class Family31Instance:
     c2: int
     F1: Polynomial
     F2: Polynomial
-    xi: Point
+    xi: tuple[int, ...]
 
 
 def _diagonal_quadric(field: PrimeField, n: int, coeffs: Sequence[int],
@@ -123,7 +123,7 @@ def build_family_31(n: int, seed: int, field: PrimeField,
         if not verify_smooth_complete_intersection([F1, F2], limits).ok:
             continue
         return Family31Instance(field=field, n=n, c=c, a=a, c1=c1, c2=c2,
-                                F1=F1, F2=F2, xi=Point(field, xi))
+                                F1=F1, F2=F2, xi=xi)
     raise FamilyDrawError(f"no generic draw found in {_FAMILY_ATTEMPTS} attempts")
 
 
@@ -167,12 +167,12 @@ def verify_singular_witness(inst: Family31Instance) -> WitnessReport:
     xi = inst.xi
     failures: list[str] = []
 
-    det_ok = evaluate(detN, xi) == 0
+    at_xi, = point_values([detN], xi, gradient=True)  # det N(xi), then its gradient
+    det_ok = at_xi[0] == 0
     if not det_ok:
         failures.append("det of the stacked matrix does not vanish at xi")
 
-    grads = [differentiate(detN, j) for j in range(1, n + 1)]
-    grad_ok = all(evaluate(g, xi) == 0 for g in grads)
+    grad_ok = not any(at_xi[1:])
     if not grad_ok:
         failures.append("gradient of the determinant does not vanish at xi")
 
@@ -187,6 +187,7 @@ def verify_singular_witness(inst: Family31Instance) -> WitnessReport:
         cofactors.append([m if (r + j) % 2 == 0 else -m
                           for j, m in enumerate(minors)])
     m2, m1 = cofactors
+    grads = [differentiate(detN, j) for j in range(1, n + 1)]
     identity_ok = all(
         grads[j] == m1[j].scale(2 * inst.c[1, j]) + m2[j].scale(2 * inst.c[0, j])
         for j in range(n))

@@ -49,7 +49,7 @@ class BudgetExceededError(RuntimeError):
     """A configured resource limit was hit before the computation finished."""
 
     def __init__(self, kind: str, limit: int):
-        super().__init__(f"groebner budget exceeded: {kind} limit {limit}")
+        super().__init__(f"budget exceeded: {kind} limit {limit}")
         self.kind = kind
         self.limit = limit
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .field import PrimeField
-from .poly import Point, Polynomial, add_multiple, differentiate, point_values
+from .poly import Polynomial, add_multiple, differentiate, point_values
 
 
 def _eliminate(rows, pivots: list[tuple[int, list[int]]], q: int) -> list[int]:
@@ -203,10 +203,11 @@ def jacobian(F: Sequence[Polynomial]) -> PolyMatrix:
     return PolyMatrix([[differentiate(f, j) for j in range(1, n + 1)] for f in F])
 
 
-def jacobian_at(F: Sequence[Polynomial], x: Point | Sequence[int]) -> ConstMatrix:
+def jacobian_at(F: Sequence[Polynomial], x: Sequence[int]) -> ConstMatrix:
     """jacobian(F) evaluated at x by the gradient kernels of the F_k (see
     point_values), without building the partials."""
-    return ConstMatrix(system_ring(F)[0], point_values(F, x, value=False, gradient=True))
+    return ConstMatrix(system_ring(F)[0],
+                       [row[1:] for row in point_values(F, x, gradient=True)])
 
 
 MAX_DET_SIZE = 12

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .field import PrimeField
 
@@ -241,44 +241,6 @@ class Polynomial:
         return f"Polynomial({self}, n={self.n}, q={self.field.q})"
 
 
-class Point:
-    """A point of the affine space F_q^n, stored as canonical residues."""
-
-    __slots__ = ("field", "coordinates")
-
-    def __init__(self, field: PrimeField, coordinates: Sequence[int]):
-        self.field = field
-        self.coordinates = tuple(v % field.q for v in coordinates)
-
-    def __len__(self) -> int:
-        return len(self.coordinates)
-
-    def __getitem__(self, j: int) -> int:
-        return self.coordinates[j]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coordinates)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.field == other.field and self.coordinates == other.coordinates
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.coordinates))
-
-    def __repr__(self) -> str:
-        return f"Point{self.coordinates}"
-
-
-def as_coordinates(field: PrimeField, x: "Point | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(x, Point):
-        if x.field != field:
-            raise ValueError("point lives in a different field")
-        return x.coordinates
-    return tuple(v % field.q for v in x)
-
-
 def differentiate(f: Polynomial, j: int) -> Polynomial:
     """Formal partial derivative with respect to x_j (1-indexed)."""
     if not 1 <= j <= f.n:
@@ -322,12 +284,14 @@ def _sum_lines(name: str, products: list[str]) -> list[str]:
 def _kernel(n: int, support: tuple[Monomial, ...], gradient: bool):
     """kernel(c, x, q) -> [f(x)] or, with gradient, [f(x), df/dx1, ...,
     df/dxn], as canonical residues, for the f in n variables whose term
-    at support[t] has coefficient c[t] and a point x of canonical residues.
+    at support[t] has coefficient c[t] and a point x of integers.
 
     The body is straight-line code over the unpacked coefficients and
     coordinates: each power of a coordinate that a product reads is built
-    once, mod q, and each value is one sum of products with one % q.  The
-    source holds only integer literals and names made from them."""
+    once, mod q, and each value is one sum of products with one % q.  As
+    Python's % is canonical for negative and large integers too, the values
+    are exact for any integer coordinates.  The source holds only integer
+    literals and names made from them."""
     body = []
     if support:
         body.append(f"    {', '.join(f'c{t}' for t in range(len(support)))}, = c")
@@ -374,23 +338,24 @@ def _point_kernel(f: Polynomial, gradient: bool):
     return kept[0], kernel
 
 
-def point_values(F: Sequence[Polynomial], x: "Point | Sequence[int]",
-                 value: bool = True, gradient: bool = False) -> list[list[int]]:
-    """Row k holds F_k(x) when value is set, then the gradient of F_k at x
-    when gradient is set, all as canonical residues.  The polynomials share
-    one ring; each runs its compiled point kernel (see _kernel)."""
+def point_values(F: Sequence[Polynomial], x: Sequence[int],
+                 gradient: bool = False) -> list[list[int]]:
+    """Row k holds F_k(x), then the gradient of F_k at x when gradient is
+    set, all as canonical residues, for a point x of integers.  The
+    polynomials share one ring; each runs its compiled point kernel (see
+    _kernel)."""
     field, n = F[0].field, F[0].n
-    coords = as_coordinates(field, x)
-    if len(coords) != n:
-        raise ValueError(f"point has {len(coords)} coordinates, ambient n={n}")
+    x = tuple(x)
+    if len(x) != n:
+        raise ValueError(f"point has {len(x)} coordinates, ambient n={n}")
     q = field.q
     rows = []
     for f in F:
         c, kernel = _point_kernel(f, gradient)
-        rows.append(kernel(c, coords, q))
-    return rows if value else [row[1:] for row in rows]
+        rows.append(kernel(c, x, q))
+    return rows
 
 
-def evaluate(f: Polynomial, x: "Point | Sequence[int]") -> int:
+def evaluate(f: Polynomial, x: Sequence[int]) -> int:
     """Value of f at x as a canonical residue."""
     return point_values([f], x)[0][0]

@@ -132,6 +132,31 @@ def test_tb_and_fiber(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "-1"
 
 
+@pytest.mark.parametrize("prime, canonical, written", [
+    (None, "1,0,0", "10000000020,0,-10000000019"),
+    (None, "0,0,10000000018", "0,0,-1"),
+    (None, "0,10000000018,0", "-20000000038,-1,10000000019"),
+    ("7", "2,2,0", "-5,9,7"),
+    ("7", "0,6,0", "0,-1,-7"),
+])
+@pytest.mark.parametrize("command", [["tb"], ["fiber", "--i", "1"]])
+def test_points_outside_the_residue_range_read_as_their_residues(
+        tmp_path, capsys, prime, canonical, written, command):
+    system = tmp_path / "sphere.txt"
+    system.write_text("x1^2+x2^2+x3^2-1\n")
+    matrix = tmp_path / "a.json"
+    matrix.write_text("[[1,0,0],[0,1,0]]")
+    base = command + ["--system", str(system), "--matrix", str(matrix)]
+    if prime:
+        base += ["--prime", prime]
+    printed = []
+    for point in (canonical, written):
+        for fmt in ([], ["--json"]):
+            assert dispatch(base + [f"--point={point}"] + fmt) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+    assert printed[2:] == printed[:2]
+
+
 @pytest.mark.parametrize("rows, i", [("[[1,0,0],[0,1,0]]", 0),
                                      ("[[1,0,0],[0,1,0]]", 3),
                                      ("[[1,0,0]]", 1)])

@@ -91,6 +91,7 @@ def test_random_full_rank_matrix_is_bounded():
         random_full_rank_matrix(rng, PrimeField(7), 2, 3)
     assert (err.value.kind, err.value.limit) == ("full-rank draws",
                                                 FULL_RANK_DRAWS)
+    assert str(err.value) == f"budget exceeded: full-rank draws limit {FULL_RANK_DRAWS}"
     assert rng.draws == FULL_RANK_DRAWS * 2 * 3
 
 
@@ -173,7 +174,7 @@ def test_empty_system_has_no_points(F7):
 def test_singular_point_tagging(F7):
     cross = parse_polynomial("x1*x2", 2, F7)
     out = sample_points_small_field([cross])
-    tags = {pt.coordinates: regular for pt, regular in out.points}
+    tags = dict(out.points)
     assert tags[(0, 0)] is False
     assert tags[(0, 1)] is True
     assert len(out.points) == 13  # both axes over F_7
@@ -255,8 +256,7 @@ def test_point_scan_matches_brute_force():
     cases = 0
     for F in oracle_systems():
         out = sample_points_small_field(F)
-        got = [(pt.coordinates, regular) for pt, regular in out.points]
-        assert got == brute_force_points(F), [str(f) for f in F]
+        assert list(out.points) == brute_force_points(F), [str(f) for f in F]
         cases += 1
     assert cases == 2 * (4 * 3 * 2 + 7)
 
@@ -283,8 +283,7 @@ def test_point_scan_matches_brute_force_on_dense_quadrics():
     cases = 0
     for F in dense_systems():
         out = sample_points_small_field(F)
-        got = [(pt.coordinates, regular) for pt, regular in out.points]
-        assert got == brute_force_points(F), [str(f) for f in F]
+        assert list(out.points) == brute_force_points(F), [str(f) for f in F]
         assert out.exhaustive and out.complete
         cases += 1
     assert cases == 2 * 3 * 3
@@ -295,8 +294,7 @@ def test_point_scan_with_a_constant_in_x_n(F7):
     # the sweep rejects every root there; the quadric decides the rest
     F = [parse_polynomial("x1 - 2", 3, F7),
          parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3, F7)]
-    got = [(pt.coordinates, regular)
-           for pt, regular in sample_points_small_field(F).points]
+    got = list(sample_points_small_field(F).points)
     assert got == brute_force_points(F)
     assert got and all(x[0] == 2 for x, _ in got)
 

@@ -8,7 +8,7 @@ import pytest
 from polarvar.field import PrimeField
 from polarvar.matrices import jacobian, jacobian_at
 from polarvar.parsing import parse_polynomial
-from polarvar.poly import (KERNEL_MEMO_SIZE, Point, Polynomial, _kernel, _point_kernel,
+from polarvar.poly import (KERNEL_MEMO_SIZE, Polynomial, _kernel, _point_kernel,
                            add_multiple, differentiate, drl_key, evaluate,
                            point_values)
 
@@ -183,13 +183,6 @@ def test_evaluate_against_naive_oracle(K):
         assert evaluate(f, x) == naive_evaluate(f, x)
 
 
-def test_point_type(K):
-    p = Point(K, [1, -1, K.q + 5])
-    assert p.coordinates == (1, K.q - 1, 5)
-    assert len(p) == 3
-    assert evaluate(P("x1+x2+x3", 3, K), p) == 5
-
-
 def test_extend_preserves_values(K):
     f = P("x1^2 + 3*x2", 2, K)
     g = f.extend(4)
@@ -216,11 +209,14 @@ def naive_gradient(f: Polynomial, coords) -> list[int]:
 def test_point_values_against_the_term_by_term_oracle_property(q):
     # each polynomial and system is evaluated at several points in turn, so
     # a kernel or coefficient tuple carried over from an earlier point or
-    # another polynomial of the same support shows
+    # another polynomial of the same support shows; coordinates outside
+    # [0, q) must give the values at their residues
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     field = PrimeField(q)
     residue = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    coordinate = st.one_of(residue, st.integers(-2 * q, -1), st.integers(q, 2 * q - 1),
+                           st.integers(2**64 + 1, 2**66))
 
     @st.composite
     def cases(draw):
@@ -233,7 +229,7 @@ def test_point_values_against_the_term_by_term_oracle_property(q):
              for _ in range(draw(st.integers(1, 3)))]
         F += [Polynomial.zero(field, n), Polynomial.constant(field, n, draw(residue))]
         F.append(F[0].scale(draw(residue)))  # F[0]'s support, other values
-        points = draw(st.lists(st.tuples(*[residue] * n), min_size=2, max_size=6))
+        points = draw(st.lists(st.tuples(*[coordinate] * n), min_size=2, max_size=6))
         return F, points
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
@@ -242,15 +238,15 @@ def test_point_values_against_the_term_by_term_oracle_property(q):
     def check(case):
         F, points = case
         for x in points:
-            values = [[naive_evaluate(f, x)] for f in F]
-            grads = [naive_gradient(f, x) for f in F]
-            for value, gradient in product((True, False), repeat=2):
-                want = [(v if value else []) + (g if gradient else [])
-                        for v, g in zip(values, grads)]
-                assert point_values(F, x, value, gradient) == want
+            residues = [v % q for v in x]
+            values = [[naive_evaluate(f, residues)] for f in F]
+            grads = [naive_gradient(f, residues) for f in F]
+            assert point_values(F, x) == values
+            assert point_values(F, x, gradient=True) == [
+                v + g for v, g in zip(values, grads)]
             for f, v in zip(F, values):
                 assert evaluate(f, x) == v[0]
-            assert jacobian_at(F, x) == evaluate_matrix(jacobian(F), x)
+            assert jacobian_at(F, x) == evaluate_matrix(jacobian(F), residues)
 
     check()
 
