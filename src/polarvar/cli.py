@@ -97,6 +97,15 @@ def _load_matrix(path: str, field: PrimeField) -> tuple[ConstMatrix, list[int] |
     return ConstMatrix(field, rows), col0
 
 
+def _classic_matrix(path: str, field: PrimeField) -> ConstMatrix:
+    """The matrix of a classic projection: `tb` and `fiber` read the rows
+    alone, so a nonzero col0 is rejected as `construct` rejects it."""
+    a, col0 = _load_matrix(path, field)
+    if col0 is not None and any(c % field.q for c in col0):
+        raise InputError("the classic flavor forbids a nonzero column 0")
+    return a
+
+
 def _parse_point(text: str, field: PrimeField, n: int) -> tuple[int, ...]:
     try:
         coords = [int(part) for part in text.split(",")]
@@ -207,7 +216,7 @@ def cmd_singular(args) -> int:
 def cmd_tb(args) -> int:
     field = _field(args)
     F, n = _load_system(args.system, field)
-    a, _ = _load_matrix(args.matrix, field)
+    a = _classic_matrix(args.matrix, field)
     x = _parse_point(args.point, field, n)
     j = thom_boardman_class(F, a, x)
     _emit(args, str(j), {"class": j})
@@ -217,7 +226,7 @@ def cmd_tb(args) -> int:
 def cmd_fiber(args) -> int:
     field = _field(args)
     F, n = _load_system(args.system, field)
-    a, _ = _load_matrix(args.matrix, field)
+    a = _classic_matrix(args.matrix, field)
     x = _parse_point(args.point, field, n)
     d = incidence_fiber_dim(F, a, x, args.i)
     _emit(args, str(d), {"fiber_dim": d})

@@ -336,4 +336,4 @@ def random_smooth_system(field: PrimeField, n: int, p: int,
         F, _, report = _smooth_draw(field.q, n, p, seed, attempt, DEFAULT_LIMITS)
         if report.ok:
             return list(F)
-    raise RuntimeError(f"no smooth system found in {_SYSTEM_ATTEMPTS} attempts")
+    raise BudgetExceededError("smooth-system draws", _SYSTEM_ATTEMPTS)

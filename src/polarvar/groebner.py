@@ -353,11 +353,11 @@ def reduced_groebner_basis(I: IdealPresentation,
     if unit:
         return GroebnerBasis(field, n, [Polynomial.constant(field, n, 1)])
 
-    # minimalize: keep leads not divisible by another kept lead
-    live = [e for e in elems if not e.redundant]
-    kept = sorted((e for e in live
-                   if not any(o is not e and pk.divides(o.lm, e.lm) for o in live)),
-                  key=attrgetter("lm"))
+    # the live elements are already a minimal basis: each was fully reduced
+    # against the live leads when it was added, so no older live lead
+    # divides its lead, and _update_pairs retired every older element whose
+    # lead a newer one divides
+    kept = sorted((e for e in elems if not e.redundant), key=attrgetter("lm"))
     # tail-interreduce: full normal form of each element against the others;
     # no other kept lead divides e.lm, so the remainder keeps it, monic
     reduced: list[Polynomial] = []

@@ -14,6 +14,8 @@ has dimension -1, a zero-dimensional W is decided by an exact radical test
 on its reduced basis (W is singular exactly at its non-reduced points), and
 the Jacobian criterion, singular_locus_ideal, handles positive dimension
 and serves as the independent oracle for the radical test in the tests.
+It is the one assembly of the criterion: verify_smooth_complete_intersection
+asks it about the last prefix of F.
 
 MINOR_CAP bounds the number of Jacobian c-minors one singular-locus ideal
 may ask for.  It is a module constant, not a parameter.  Polar generators
@@ -278,29 +280,24 @@ def verify_smooth_complete_intersection(F: Sequence[Polynomial],
                                         limits: GBLimits = DEFAULT_LIMITS
                                         ) -> SmoothnessReport:
     """Check that F is a regular sequence (each prefix cuts dimension by one)
-    whose zero set carries no singular point."""
+    whose zero set carries no singular point.
+
+    A regular sequence has no zero member and codimension p, so the
+    Jacobian criterion of its last prefix is F plus the p-minors of J(F);
+    C(n, p) stays under the minor cap for n <= 16.  It goes through
+    singular_locus_ideal, not singular_locus_dim, so p = n is decided by
+    the same criterion and not by the radical test."""
     F = list(F)
     if not F:
         raise PolarSpecError("empty system")
     field, n = F[0].field, F[0].n
-    p = len(F)
-    prefix_dims = []
-    regular = True
-    for k in range(1, p + 1):
-        gb = reduced_groebner_basis(IdealPresentation(field, n, F[:k]), limits)
-        d = dimension(gb)
-        prefix_dims.append(d)
-        if d != n - k:
-            regular = False
-    smooth = False
-    if regular:
-        # a regular sequence has no zero member, so this is F plus the
-        # p-minors of J(F); C(n, p) stays under the minor cap for n <= 16
-        gens = singular_locus_generators(F, p)
-        gb = reduced_groebner_basis(IdealPresentation(field, n, gens), limits)
-        smooth = gb.contains_one
+    prefixes = [analyze_ideal(field, n, k, F[:k], limits)
+                for k in range(1, len(F) + 1)]
+    prefix_dims = tuple(r.dim for r in prefixes)
+    regular = prefix_dims == tuple(range(n - 1, n - len(F) - 1, -1))
+    smooth = regular and singular_locus_ideal(prefixes[-1], limits).dim == -1
     return SmoothnessReport(regular_sequence_ok=regular, smooth_ok=smooth,
-                            prefix_dims=tuple(prefix_dims))
+                            prefix_dims=prefix_dims)
 
 
 def thom_boardman_class(F: Sequence[Polynomial], a: ConstMatrix, x) -> int:

@@ -180,18 +180,6 @@ class Polynomial:
             return self
         return self.scale(self.field.inv(self.leading_coefficient()))
 
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial.constant(self.field, self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     def extend(self, n_new: int) -> "Polynomial":
         """Reinterpret in a larger ring by appending fresh trailing variables."""
         if n_new < self.n:

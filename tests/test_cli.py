@@ -157,6 +157,30 @@ def test_points_outside_the_residue_range_read_as_their_residues(
     assert printed[2:] == printed[:2]
 
 
+@pytest.mark.parametrize("command, plain", [(["tb"], "1"),
+                                            (["fiber", "--i", "1"], "0")])
+def test_tb_and_fiber_reject_a_nonzero_col0(tmp_path, capsys, command, plain):
+    # the classic rows alone give class 1 at (1, 1); the evaluated dual row
+    # (0 - 1*1, 0 - 1*1) = (6, 6) would give class 0
+    system = tmp_path / "parabola.txt"
+    system.write_text("x2 - x1^2\n")
+    matrix = tmp_path / "a.json"
+    base = command + ["--system", str(system), "--matrix", str(matrix),
+                      "--point", "1,1", "--prime", "7"]
+    matrix.write_text('{"rows": [[0, 0]], "col0": [1]}')
+    assert dispatch(base) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "forbids a nonzero column 0" in captured.err
+    printed = []
+    for text in ('[[0, 0]]', '{"rows": [[0, 0]], "col0": [0]}',
+                 '{"rows": [[0, 0]], "col0": [7]}'):
+        matrix.write_text(text)
+        assert dispatch(base) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert printed == [plain + "\n"] * 3
+
+
 @pytest.mark.parametrize("rows, i", [("[[1,0,0],[0,1,0]]", 0),
                                      ("[[1,0,0],[0,1,0]]", 3),
                                      ("[[1,0,0]]", 1)])
@@ -171,20 +195,40 @@ def test_fiber_rejects_wrong_index_or_row_count(tmp_path, capsys, rows, i):
     assert capsys.readouterr().out == ""
 
 
-def test_experiment_bytes_do_not_depend_on_hash_seed():
+def _fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_experiment_bytes_do_not_depend_on_hash_seed():
     outputs = []
     for hashseed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "polarvar.cli", "experiment", "--nmax", "4",
-             "--seeds", "1", "--json"], capture_output=True, env=env)
+             "--seeds", "1", "--json"], capture_output=True,
+            env=_fresh_env(PYTHONHASHSEED=hashseed))
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 10
+
+
+def test_the_library_imports_only_the_standard_library():
+    # modules loaded at interpreter startup (site hooks and the like) are
+    # already in sys.modules before the import and do not count
+    code = ("import sys; before = set(sys.modules); "
+            "import polarvar, polarvar.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "polarvar" in loaded and "polarvar.cli" in loaded
+    foreign = [m for m in loaded if m.partition(".")[0] != "polarvar"
+               and m.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 def test_point_off_variety_is_an_input_error(tmp_path, capsys):

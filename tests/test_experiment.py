@@ -190,6 +190,14 @@ def test_random_smooth_system_verifies(K):
     assert F == [random_dense_poly(rng, K, 3) for _ in range(2)]
 
 
+def test_random_smooth_system_is_bounded(K, monkeypatch):
+    monkeypatch.setattr(experiment, "_SYSTEM_ATTEMPTS", 0)
+    with pytest.raises(BudgetExceededError) as err:
+        random_smooth_system(K, 3, 2, seed=8)
+    assert (err.value.kind, err.value.limit) == ("smooth-system draws", 0)
+    assert str(err.value) == "budget exceeded: smooth-system draws limit 0"
+
+
 def test_grid_draws_and_verifies_each_system_once(monkeypatch):
     calls = []
     inner = experiment.verify_smooth_complete_intersection

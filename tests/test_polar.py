@@ -8,7 +8,7 @@ import pytest
 
 from polarvar.field import PrimeField
 from polarvar.groebner import (BudgetExceededError, GBLimits, IdealPresentation,
-                               normal_form, reduced_groebner_basis)
+                               dimension, normal_form, reduced_groebner_basis)
 from polarvar.matrices import ConstMatrix, enumerate_minors, jacobian
 from polarvar.parsing import parse_polynomial
 from polarvar.poly import Polynomial
@@ -320,7 +320,9 @@ def test_radical_route_matches_jacobian_property(F7):
                     form = form + Polynomial.variable(F7, n, j).scale(draw(coeff))
                 g = g * form
             gens.append(g)
-        gens[0] = gens[0] ** draw(st.integers(1, 3))
+        first = gens[0]
+        for _ in range(draw(st.integers(1, 3)) - 1):
+            gens[0] = gens[0] * first
         return n, gens
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
@@ -347,6 +349,71 @@ def test_verify_smooth_complete_intersection_cases(K, circle):
         [P("x1", 2, K), P("x1+1", 2, K)])
     assert not bad.regular_sequence_ok
     assert bad.prefix_dims == (1, -1)
+
+
+def assembled_smoothness(F):
+    """The smoothness report assembled on its own: prefix dimensions from
+    reduced bases, and smooth when F plus the p-minors of J(F) generate the
+    unit ideal."""
+    field, n, p = F[0].field, F[0].n, len(F)
+    dims = tuple(dimension(reduced_groebner_basis(IdealPresentation(field, n, F[:k])))
+                 for k in range(1, p + 1))
+    regular = dims == tuple(n - k for k in range(1, p + 1))
+    gens = list(F) + list(enumerate_minors(jacobian(F), p))
+    smooth = regular and reduced_groebner_basis(
+        IdealPresentation(field, n, gens)).contains_one
+    return regular, smooth, dims
+
+
+@pytest.mark.parametrize("q", [7, None])
+def test_smoothness_report_against_the_assembled_criterion_property(q):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = PrimeField(q) if q else PrimeField()
+    coeff = st.integers(0, field.q - 1)
+
+    @st.composite
+    def systems(draw):
+        # dense quadrics are smooth, a crossing or a square of a linear
+        # form is singular, and a multiple of an earlier member is irregular
+        n = draw(st.sampled_from([2, 3]))
+        p = draw(st.integers(1, n))
+
+        def form():
+            f = Polynomial.constant(field, n, draw(coeff))
+            for j in range(1, n + 1):
+                f = f + Polynomial.variable(field, n, j).scale(draw(coeff))
+            return f
+
+        F = []
+        for _ in range(p):
+            kind = draw(st.sampled_from(["dense", "crossing", "square", "multiple"]))
+            if kind == "multiple" and F:
+                F.append(draw(st.sampled_from(F)) * form())
+            elif kind == "crossing":
+                F.append(form() * form())
+            elif kind == "square":
+                line = form()
+                F.append(line * line)
+            else:
+                F.append(Polynomial(field, n, {
+                    m: draw(coeff) for m in product(range(3), repeat=n) if sum(m) <= 2}))
+        return F
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(systems())
+    def check(F):
+        report = verify_smooth_complete_intersection(F)
+        got = (report.regular_sequence_ok, report.smooth_ok, report.prefix_dims)
+        assert got == assembled_smoothness(F)
+        seen.add(got[:2] + (len(F) == F[0].n,))
+
+    seen = set()
+    check()
+    # smooth, singular and irregular systems were drawn, at p < n and p = n
+    assert {(True, True), (True, False), (False, False)} <= {s[:2] for s in seen}
+    assert {(True, True, True), (True, False, True)} <= seen
 
 
 def test_thom_boardman_class_on_sphere(K, sphere):
