@@ -1,9 +1,12 @@
 """Reduced Groebner bases and staircase analytics over a prime field.
 
 The engine is a Buchberger loop with Gebauer-Moller pair elimination and
-sugar-based selection, always in degrevlex.  Resource limits (pair count,
-basis size, element degree) turn runaway computations into explicit
-BudgetExceededError, never silently truncated output.
+the normal selection strategy, always in degrevlex: the pair heap pops the
+least lcm first, and as packed keys (below) order by degree and then
+degrevlex, a pair is one (lcm, i, j) entry.  The reduced basis is
+canonical, so the order changes only the work.  Resource limits (pair count, basis size, element
+degree) turn runaway computations into explicit BudgetExceededError, never
+silently truncated output.
 
 Inside the engine a monomial is one integer,
 K(m) = deg(m) << (B*n) | sum_j (M - e_j) << (B*j) with M = 2^(B-1) - 1:
@@ -164,21 +167,18 @@ class _Elem:
     """A monic basis element in packed form, with what the reducer and the
     pair update read off its leading monomial precomputed."""
 
-    __slots__ = ("terms", "tail", "lm", "div", "deg", "exps", "sugar", "redundant")
+    __slots__ = ("terms", "tail", "lm", "div", "exps", "redundant")
 
-    def __init__(self, terms: dict, lm: int, sugar: int, pk: _Packing):
+    def __init__(self, terms: dict, lm: int, pk: _Packing):
         self.terms = terms
         self.tail = tuple(t for t in terms.items() if t[0] != lm)
         self.lm = lm
         self.div = pk.divisor(lm)
-        self.deg = pk.degree(lm)
         self.exps = pk.unpack(lm)
-        self.sugar = sugar
         self.redundant = False
 
 
-def _reduce_full(work: dict, elems: list[_Elem], q: int, sugar: int,
-                 pk: _Packing) -> tuple[dict, int]:
+def _reduce_full(work: dict, elems: list[_Elem], q: int, pk: _Packing) -> dict:
     """Full division remainder: no remainder term divisible by any live lead.
 
     The one multiply-accumulate loop not routed through poly.add_multiple:
@@ -191,7 +191,7 @@ def _reduce_full(work: dict, elems: list[_Elem], q: int, sugar: int,
     heapq.heapify(heap)
     push = heapq.heappush
     remainder: dict = {}
-    mask, guard, shift = pk.one, pk.guard, pk.shift
+    mask, guard = pk.one, pk.guard
     while heap:
         m = -heapq.heappop(heap)
         c = pop(m, 0)
@@ -205,7 +205,6 @@ def _reduce_full(work: dict, elems: list[_Elem], q: int, sugar: int,
             remainder[m] = c
             continue
         delta = m - e.lm
-        sugar = max(sugar, e.sugar + (m >> shift) - e.deg)
         c = q - c
         for bm, bc in e.tail:
             key = bm + delta
@@ -217,7 +216,7 @@ def _reduce_full(work: dict, elems: list[_Elem], q: int, sugar: int,
                 work[key] = s
             elif prev:
                 del work[key]
-    return remainder, sugar
+    return remainder
 
 
 def _monic(terms: dict, q: int) -> tuple[dict, int]:
@@ -271,21 +270,16 @@ def _update_pairs(elems: list[_Elem], pairs: dict, pair_heap: list, t: int,
         else:
             dropped.add(i)
     # criterion B on old pairs
-    for (i, j) in list(pairs):
-        lij = pairs[(i, j)][0]
+    for (i, j), lij in list(pairs.items()):
         if ((h.div - (lij & mask)) & guard == guard
                 and lcm(i) != lij and lcm(j) != lij):
             del pairs[(i, j)]
     # Buchberger coprimality criterion on the survivors
     for i in kept:
-        e = elems[i]
-        if all(a == 0 or b == 0 for a, b in zip(e.exps, h.exps)):
+        if all(a == 0 or b == 0 for a, b in zip(elems[i].exps, h.exps)):
             continue
-        li = lcms[i]
-        deg = pk.degree(li)
-        sugar = max(e.sugar + deg - e.deg, h.sugar + deg - h.deg)
-        pairs[(i, t)] = (li, sugar)
-        heapq.heappush(pair_heap, (sugar, li, i, t))
+        pairs[(i, t)] = lcms[i]
+        heapq.heappush(pair_heap, (lcms[i], i, t))
     # newly dominated leads form no further pairs
     for i in range(t):
         if not elems[i].redundant and pk.divides(h.lm, elems[i].lm):
@@ -306,14 +300,14 @@ def reduced_groebner_basis(I: IdealPresentation,
     pairs: dict = {}
     pair_heap: list = []
 
-    def add_element(terms: dict, sugar: int) -> bool:
+    def add_element(terms: dict) -> bool:
         """Returns True when the unit ideal was detected."""
         terms, lm = _monic(terms, q)
         if pk.degree(lm) == 0:
             return True
         if len(elems) >= limits.max_basis:
             raise BudgetExceededError("basis size", limits.max_basis)
-        elems.append(_Elem(terms, lm, sugar, pk))
+        elems.append(_Elem(terms, lm, pk))
         _update_pairs(elems, pairs, pair_heap, len(elems) - 1, pk)
         return False
 
@@ -321,15 +315,14 @@ def reduced_groebner_basis(I: IdealPresentation,
     for g in I.generators:
         if unit:
             break
-        rem, sugar = _reduce_full(pk.pack_terms(g.terms),
-                                  [e for e in elems if not e.redundant],
-                                  q, g.total_degree(), pk)
+        rem = _reduce_full(pk.pack_terms(g.terms),
+                           [e for e in elems if not e.redundant], q, pk)
         if rem:
-            unit = add_element(rem, sugar)
+            unit = add_element(rem)
 
     processed = 0
     while pair_heap and not unit:
-        sugar, lij, i, j = heapq.heappop(pair_heap)
+        lij, i, j = heapq.heappop(pair_heap)
         if pairs.pop((i, j), None) is None:
             continue
         processed += 1
@@ -343,12 +336,12 @@ def reduced_groebner_basis(I: IdealPresentation,
         if not spoly:
             continue
         live = [e for e in elems if not e.redundant]
-        rem, rsugar = _reduce_full(spoly, live, q, sugar, pk)
+        rem = _reduce_full(spoly, live, q, pk)
         if not rem:
             continue
         if pk.degree(max(rem)) > limits.max_degree:
             raise BudgetExceededError("element degree", limits.max_degree)
-        unit = add_element(rem, rsugar)
+        unit = add_element(rem)
 
     if unit:
         return GroebnerBasis(field, n, [Polynomial.constant(field, n, 1)])
@@ -362,7 +355,7 @@ def reduced_groebner_basis(I: IdealPresentation,
     # no other kept lead divides e.lm, so the remainder keeps it, monic
     reduced: list[Polynomial] = []
     for e in kept:
-        rem, _ = _reduce_full(e.terms, [o for o in kept if o is not e], q, e.sugar, pk)
+        rem = _reduce_full(e.terms, [o for o in kept if o is not e], q, pk)
         reduced.append(Polynomial(field, n, pk.unpack_terms(rem), _clean=True))
     return GroebnerBasis(field, n, reduced)
 
@@ -370,7 +363,7 @@ def reduced_groebner_basis(I: IdealPresentation,
 def _packed_basis(G: GroebnerBasis, degree: int) -> tuple[_Packing, list[_Elem]]:
     """G packed wide enough for G and for polynomials up to `degree`."""
     pk = _Packing(G.n, max([degree, *(g.total_degree() for g in G.basis)]))
-    return pk, [_Elem(pk.pack_terms(g.terms), pk.pack(lm), 0, pk)
+    return pk, [_Elem(pk.pack_terms(g.terms), pk.pack(lm), pk)
                 for g, lm in zip(G.basis, G.leading_monomials)]
 
 
@@ -381,7 +374,7 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     if f.is_zero:
         return f
     pk, elems = _packed_basis(G, f.total_degree())
-    rem, _ = _reduce_full(pk.pack_terms(f.terms), elems, f.field.q, 0, pk)
+    rem = _reduce_full(pk.pack_terms(f.terms), elems, f.field.q, pk)
     return Polynomial(f.field, f.n, pk.unpack_terms(rem), _clean=True)
 
 
@@ -412,8 +405,9 @@ def dimension(G: GroebnerBasis) -> int:
 HILBERT_MEMO_SIZE = 4096
 
 
-def hilbert_numerator(lms: Sequence[Monomial], n: int) -> list[int]:
-    """Numerator coefficients of the Hilbert series of R/(lms) over (1-t)^n."""
+def hilbert_numerator(lms: Sequence[Monomial]) -> list[int]:
+    """Numerator coefficients of the Hilbert series of R/(lms) over (1-t)^n,
+    n the number of variables of R."""
     gens = _minimalize_monomials(lms)
     if any(sum(m) == 0 for m in gens):
         return [0]
@@ -481,7 +475,7 @@ def degree(G: GroebnerBasis) -> int:
     """Geometric degree read off the leading-term ideal; empty set has 0."""
     if G.contains_one:
         return 0
-    num = hilbert_numerator(G.leading_monomials, G.n)
+    num = hilbert_numerator(G.leading_monomials)
     strips = 0
     while sum(num) == 0:
         # exact division by (1 - t): running prefix sums
@@ -610,7 +604,7 @@ def is_radical_zero_dim(G: GroebnerBasis, limits: GBLimits = DEFAULT_LIMITS) -> 
     for j in range(n):
         times_xj = []
         for s in staircase:
-            rem, _ = _reduce_full({pk.pack(_bump(s, j)): 1}, elems, q, 0, pk)
+            rem = _reduce_full({pk.pack(_bump(s, j)): 1}, elems, q, pk)
             spend(len(rem))
             times_xj.append({index[m]: c for m, c in rem.items()})
         powers = [{0: 1}]  # staircase[0] is the monomial 1

@@ -282,8 +282,9 @@ def verify_smooth_complete_intersection(F: Sequence[Polynomial],
     """Check that F is a regular sequence (each prefix cuts dimension by one)
     whose zero set carries no singular point.
 
-    A regular sequence has no zero member and codimension p, so the
-    Jacobian criterion of its last prefix is F plus the p-minors of J(F);
+    A regular sequence has no zero member, at most n members and
+    codimension p, so the Jacobian criterion of its last prefix is F plus
+    the p-minors of J(F);
     C(n, p) stays under the minor cap for n <= 16.  It goes through
     singular_locus_ideal, not singular_locus_dim, so p = n is decided by
     the same criterion and not by the radical test."""
@@ -294,7 +295,8 @@ def verify_smooth_complete_intersection(F: Sequence[Polynomial],
     prefixes = [analyze_ideal(field, n, k, F[:k], limits)
                 for k in range(1, len(F) + 1)]
     prefix_dims = tuple(r.dim for r in prefixes)
-    regular = prefix_dims == tuple(range(n - 1, n - len(F) - 1, -1))
+    regular = (len(F) <= n
+               and prefix_dims == tuple(range(n - 1, n - len(F) - 1, -1)))
     smooth = regular and singular_locus_ideal(prefixes[-1], limits).dim == -1
     return SmoothnessReport(regular_sequence_ok=regular, smooth_ok=smooth,
                             prefix_dims=prefix_dims)

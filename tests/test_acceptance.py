@@ -84,6 +84,13 @@ def delta_grid_small():
     return run_grid(5, seeds=1, mode="delta", master_seed=MASTER_SEED + 1)
 
 
+@pytest.fixture(scope="module")
+def dual_grid_small():
+    """Criterion 5's dual flavor: full mode, n <= 4, one seed."""
+    return run_grid(4, seeds=1, mode="full", flavor="dual",
+                    master_seed=MASTER_SEED + 2)
+
+
 def test_criterion_01_full_singular_grid(full_grid):
     results, elapsed = full_grid
     assert len(results) == 20 * 3
@@ -133,11 +140,9 @@ def test_criterion_04_smoothness_zone(full_grid, delta_grid_n6):
            f"{len(cells)} cells with 2i+2 > n-p all smooth; bad: {bad}")
 
 
-def test_criterion_05_pure_codimension_law(full_grid):
+def test_criterion_05_pure_codimension_law(full_grid, dual_grid_small):
     results = [r for r in full_grid[0] if r.status == "ok"]
-    dual = [r for r in run_grid(4, seeds=1, mode="full", flavor="dual",
-                                master_seed=MASTER_SEED + 2)
-            if r.status == "ok"]
+    dual = [r for r in dual_grid_small if r.status == "ok"]
     instances = results + dual
     bad = [(r.n, r.p, r.i, r.flavor, r.dim_W) for r in instances
            if r.dim_W not in (-1, r.n - r.p - r.i)]
@@ -351,7 +356,8 @@ def test_criterion_12_experiment_determinism(tmp_path):
                    f"JSON-lines ({len(records)} records)")
 
 
-@pytest.mark.parametrize("grid", ["full_grid", "delta_grid_n6", "delta_grid_small"])
+@pytest.mark.parametrize("grid", ["full_grid", "delta_grid_n6", "delta_grid_small",
+                                  "dual_grid_small"])
 def test_grid_records_match_golden_files(request, grid):
     """Each shared grid's records, one `json.dumps(r.to_record())` line per
     cell as `polar experiment --out` writes them, equal the committed file

@@ -439,3 +439,25 @@ def test_experiment_rejects_an_empty_grid(flags, capsys):
     assert dispatch(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == "" and "empty grid" in captured.err
+
+
+def test_grid_checker_passes_only_complete_matching_grids(capsys):
+    """tools/check_grid.py, which CI pipes its experiment grids through,
+    fails on a short or long grid, a record in the other mode, a mismatch
+    and a record that is not ok."""
+    checker = Path(__file__).resolve().parents[1] / "tools" / "check_grid.py"
+    assert dispatch(["experiment", "--nmax", "3", "--seeds", "1", "--json"]) == EXIT_OK
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 4
+
+    def check(recs, count, mode):
+        lines = "".join(json.dumps(r) + "\n" for r in recs)
+        return subprocess.run([sys.executable, str(checker), str(count), mode],
+                              input=lines, capture_output=True, text=True).returncode
+
+    assert check(records, 4, "full") == 0
+    assert check(records, 5, "full") != 0
+    assert check(records[:3], 4, "full") != 0
+    assert check(records, 4, "delta") != 0
+    assert check([dict(records[0], match=False)] + records[1:], 4, "full") != 0
+    assert check([dict(records[0], status="budget")] + records[1:], 4, "full") != 0

@@ -12,7 +12,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from polarvar.groebner import IdealPresentation, reduced_groebner_basis
+from polarvar.groebner import (IdealPresentation, localize_rabinowitsch,
+                               reduced_groebner_basis)
 from polarvar.poly import Polynomial
 
 from conftest import random_poly
@@ -35,11 +36,22 @@ def from_sympy(p, field, n):
     return Polynomial(field, n, terms)
 
 
+def assert_basis_matches_sympy(I: IdealPresentation) -> None:
+    xs = sympy.symbols(f"x1:{I.n + 1}")
+    q = I.field.q
+    gb = sympy.groebner([to_sympy(g, xs, q) for g in I.generators], *xs,
+                        order="grevlex", domain=sympy.GF(q))
+    theirs = sorted((from_sympy(p, I.field, I.n).monic() for p in gb.polys),
+                    key=str)
+    assert sorted(reduced_groebner_basis(I).basis, key=str) == theirs
+
+
 def test_reduced_bases_match_sympy(K):
+    """Random systems in three variables, each also localized by
+    Rabinowitsch at a random linear form: the non-homogeneous T*m - 1 mixes
+    degrees within one generator, so the pair order differs most there."""
     rng = random.Random(2718)
     n = 3
-    xs = sympy.symbols(f"x1:{n + 1}")
-    dom = sympy.GF(K.q)
     checked = 0
     while checked < 25:
         gens = [random_poly(rng, K, n, max_degree=2, terms=3)
@@ -47,29 +59,21 @@ def test_reduced_bases_match_sympy(K):
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        mine = reduced_groebner_basis(IdealPresentation(K, n, gens))
-        gb = sympy.groebner([to_sympy(g, xs, K.q) for g in gens], *xs,
-                            order="grevlex", domain=dom)
-        theirs = sorted((from_sympy(p, K, n).monic() for p in gb.polys),
-                        key=str)
-        assert sorted(mine.basis, key=str) == theirs
+        I = IdealPresentation(K, n, gens)
+        form = Polynomial(K, n, {tuple(int(k == j) for k in range(n)):
+                                 rng.randrange(1, K.q) for j in range(n)})
+        assert_basis_matches_sympy(I)
+        assert_basis_matches_sympy(localize_rabinowitsch(I, form))
         checked += 1
 
 
 def test_small_field_bases_match_sympy(F7):
     rng = random.Random(577)
     n = 2
-    xs = sympy.symbols("x1:3")
-    dom = sympy.GF(7)
     for _ in range(25):
         gens = [random_poly(rng, F7, n, max_degree=3, terms=4)
                 for _ in range(2)]
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        mine = reduced_groebner_basis(IdealPresentation(F7, n, gens))
-        gb = sympy.groebner([to_sympy(g, xs, 7) for g in gens], *xs,
-                            order="grevlex", domain=dom)
-        theirs = sorted((from_sympy(p, F7, n).monic() for p in gb.polys),
-                        key=str)
-        assert sorted(mine.basis, key=str) == theirs
+        assert_basis_matches_sympy(IdealPresentation(F7, n, gens))

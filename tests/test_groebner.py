@@ -361,9 +361,9 @@ def test_dimension_degree_invariant_under_presentation(K):
 
 def test_hilbert_numerator_simple_cases(K):
     # principal ideal (x1^2): numerator 1 - t^2
-    assert hilbert_numerator([(2, 0, 0)], 3) == [1, 0, -1]
-    assert hilbert_numerator([], 3) == [1]
-    assert hilbert_numerator([(0, 0, 0)], 3) == [0]
+    assert hilbert_numerator([(2, 0, 0)]) == [1, 0, -1]
+    assert hilbert_numerator([]) == [1]
+    assert hilbert_numerator([(0, 0, 0)]) == [0]
     # the numerators of the recursion sit in a bounded memo
     assert _hilbert_rec.cache_info().maxsize == HILBERT_MEMO_SIZE
 

@@ -341,7 +341,7 @@ def test_radical_route_matches_jacobian_property(F7):
     assert seen == {-1, 0}  # both answers were exercised
 
 
-def test_verify_smooth_complete_intersection_cases(K, circle):
+def test_verify_smooth_complete_intersection_cases(K, F7, circle):
     assert verify_smooth_complete_intersection([circle]).ok
     cross = verify_smooth_complete_intersection([P("x1*x2", 2, K)])
     assert cross.regular_sequence_ok and not cross.smooth_ok
@@ -349,6 +349,11 @@ def test_verify_smooth_complete_intersection_cases(K, circle):
         [P("x1", 2, K), P("x1+1", 2, K)])
     assert not bad.regular_sequence_ok
     assert bad.prefix_dims == (1, -1)
+    # n + 1 members whose first n cut out a point and whose last empties it
+    empty = verify_smooth_complete_intersection(
+        [P("x1", 2, F7), P("x2", 2, F7), P("x1+x2+1", 2, F7)])
+    assert not empty.regular_sequence_ok and not empty.smooth_ok
+    assert empty.prefix_dims == (1, 0, -1)
 
 
 def assembled_smoothness(F):
